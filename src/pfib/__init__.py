@@ -4,9 +4,10 @@ The forward recurrence takes two odd primes and repeatedly appends the
 smallest odd prime divisor of the last pairwise sum, stopping when that sum
 is a power of two.  This package generates such sequences, extends them to
 the left (congruence-based and minimal variants), reproduces the reversed
-sequence OEIS A255562 with a bounded, parallel, checkpoint-resumable search,
-builds length-k sequences from prime arithmetic progressions, and reports
-growth diagnostics.
+sequence OEIS A255562 with one bounded, checkpoint-resumable search (a step
+starts a process pool only once it outlives its first shard), builds
+length-k sequences from prime arithmetic progressions, and reports growth
+diagnostics.
 """
 
 from .arith import (
@@ -16,7 +17,6 @@ from .arith import (
     factorize,
     is_power_of_two,
     is_prime,
-    is_rough,
     odd_part,
     odd_primorial,
     sieve_primes,
@@ -45,7 +45,6 @@ from .seqcore import (
     TripleCheck,
     extend_left_crt,
     extend_left_minimal,
-    extend_left_minimal_naive,
     find_prime_ap,
     generate_forward,
     generate_reversed,

@@ -1,4 +1,4 @@
-"""Integer arithmetic kernel: primality, sieves, factorization, CRT, roughness.
+"""Integer arithmetic kernel: primality, sieves, factorization, CRT.
 
 Everything runs on Python's native arbitrary-precision integers.  The one
 place where the 64-bit boundary matters is `is_prime`: below 2**64 the answer
@@ -21,7 +21,6 @@ __all__ = [
     "factorize",
     "is_power_of_two",
     "is_prime",
-    "is_rough",
     "odd_part",
     "odd_primorial",
     "sieve_primes",
@@ -247,24 +246,6 @@ def crt_solve(congruences) -> CrtSystem:
         x += modulus * t
         modulus *= m
     return CrtSystem(tuple(pairs), modulus, x % modulus)
-
-
-def is_rough(n: int, bound: int) -> bool:
-    """True when no prime below `bound` divides n (1 is b-rough for every b)."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    if n == 1:
-        return True
-    if bound > 2 and n % 2 == 0:
-        return False
-    d = 3
-    while d < bound and d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    if d * d > n:  # n is prime: rough exactly when it clears the bound itself
-        return n >= bound
-    return True
 
 
 def factorize(n: int, rng: random.Random | None = None) -> list[int]:

@@ -7,7 +7,9 @@ part of m free of prime factors below the constraint, so the scan enumerates
 multipliers m instead of candidates r.  Shards are contiguous multiplier
 ranges; they may run in parallel but are finalized strictly in multiplier
 order, so a hit is only accepted once every lower shard has completed and the
-result is bit-identical for any worker count.
+result is bit-identical for any worker count.  Every minimal left extension
+in the package runs through `run_search`; a search that settles in its first
+shard never starts a process pool.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import json
 import os
 import time
 from collections import deque
+from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import InitVar, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .arith import ensure_odd_prime, is_prime, sieve_primes, smallest_odd_prime_divisor
 
@@ -292,7 +295,10 @@ def run_search(
     """Run one bounded reversed-step search to a result or suspension.
 
     Shards are finalized in multiplier order, so the first hit is the least
-    valid candidate and the outcome does not depend on `workers`.  With a
+    valid candidate and the outcome does not depend on `workers`.  Shards run
+    in-process until the search outlives its first shard (a resumed
+    checkpoint's shards count); after that, with `workers` > 1, the remaining
+    shards go to a process pool of that size.  With a
     `checkpoint_path`, state is written after every finalized shard and on a
     timer while waiting; `max_shards` suspends the run after that many shards
     (the deterministic stand-in for killing the process).  Resuming with a
@@ -313,6 +319,7 @@ def run_search(
         m_next = 2
         shards_done = 0
         base_wall = 0.0
+    shards_before = shards_done
 
     m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
     started = time.monotonic()
@@ -331,79 +338,48 @@ def run_search(
             save_checkpoint(checkpoint, checkpoint_path)
         return checkpoint
 
-    def shard_bounds():
-        lo = m_next
-        while lo < m_end:
-            hi = min(lo + task.shard_width, m_end)
-            yield lo, hi
-            lo = hi
+    scan = partial(scan_multiplier_range, task.constraint_prime, task.partner)
 
-    def finalize(hi: int, hit: int | None):
-        # returns a final SearchResult, or None to continue
-        nonlocal shards_done, m_next
-        shards_done += 1
-        if hit is not None:
-            m_hit = (hit + task.partner) // task.constraint_prime
-            return SearchResult(hit, True, emit(snapshot(m_hit + 2, hit)))
-        m_next = _even_ceil(hi)
-        checkpoint = emit(snapshot(m_next, None))
-        if max_shards is not None and shards_done - (
-            resume_from.shards_done if resume_from else 0
-        ) >= max_shards:
-            return SearchResult(None, False, checkpoint)
-        return None
+    def shard_results():
+        # (hi, hit) per shard in multiplier order; a search that settles in
+        # its first shard never pays for a pool's start-up
+        lo = m_next
+        while lo < m_end and (workers == 1 or shards_done == 0):
+            hi = min(lo + task.shard_width, m_end)
+            yield hi, scan(lo, hi)
+            lo = hi
+        if lo >= m_end:
+            return
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            pending: deque = deque()
+            while lo < m_end or pending:
+                while lo < m_end and len(pending) < workers + 2:
+                    hi = min(lo + task.shard_width, m_end)
+                    pending.append((hi, pool.submit(scan, lo, hi)))
+                    lo = hi
+                hi, future = pending.popleft()
+                while True:
+                    try:
+                        hit = future.result(timeout=checkpoint_interval)
+                        break
+                    except FutureTimeout:
+                        emit(snapshot(m_next, None))
+                yield hi, hit
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     try:
-        if workers == 1:
-            for lo, hi in shard_bounds():
-                result = finalize(
-                    hi,
-                    scan_multiplier_range(
-                        task.constraint_prime, task.partner, lo, hi
-                    ),
-                )
-                if result is not None:
-                    return result
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                pending: deque = deque()
-                bounds = shard_bounds()
-
-                def refill():
-                    while len(pending) < workers + 2:
-                        nxt = next(bounds, None)
-                        if nxt is None:
-                            return
-                        lo, hi = nxt
-                        pending.append(
-                            (
-                                hi,
-                                pool.submit(
-                                    scan_multiplier_range,
-                                    task.constraint_prime,
-                                    task.partner,
-                                    lo,
-                                    hi,
-                                ),
-                            )
-                        )
-
-                refill()
-                while pending:
-                    hi, future = pending[0]
-                    while True:
-                        try:
-                            hit = future.result(timeout=checkpoint_interval)
-                            break
-                        except FutureTimeout:
-                            emit(snapshot(m_next, None))
-                    pending.popleft()
-                    result = finalize(hi, hit)
-                    if result is not None:
-                        for _, f in pending:
-                            f.cancel()
-                        return result
-                    refill()
+        with closing(shard_results()) as results:
+            for hi, hit in results:
+                shards_done += 1
+                if hit is not None:
+                    m_hit = (hit + task.partner) // task.constraint_prime
+                    return SearchResult(hit, True, emit(snapshot(m_hit + 2, hit)))
+                m_next = _even_ceil(hi)
+                checkpoint = emit(snapshot(m_next, None))
+                if max_shards is not None and shards_done - shards_before >= max_shards:
+                    return SearchResult(None, False, checkpoint)
     except KeyboardInterrupt:
         emit(snapshot(m_next, None))
         raise

@@ -10,7 +10,8 @@ a constant sequence.
 The reversed direction extends to the *left*: given the last two terms, find
 the least odd prime r making the older term the smallest odd prime divisor of
 the newer term plus r.  Seeding with 3, 5 and iterating reproduces OEIS
-A255562; its 16th term, if any, exceeds two billion.
+A255562; its 16th term, if any, exceeds two billion.  Every such step, single
+or within a sequence, is one searchctl.run_search call.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ from .arith import (
     smallest_odd_prime_divisor,
 )
 from . import searchctl
-from .searchctl import SearchTask, multiplier_limit, scan_multiplier_range
+from .searchctl import SearchTask
 
 __all__ = [
     "BoundExhaustedError",
     "DegenerateSystemError",
-    "DELEGATION_BOUND",
     "DEFAULT_DIRICHLET_STEPS",
     "ForwardStatus",
     "GROWTH_ROOT",
@@ -49,7 +49,6 @@ __all__ = [
     "TripleCheck",
     "extend_left_crt",
     "extend_left_minimal",
-    "extend_left_minimal_naive",
     "find_prime_ap",
     "generate_forward",
     "generate_reversed",
@@ -58,14 +57,8 @@ __all__ = [
     "index_recurrence",
 ]
 
-# Per-step bounds above this are delegated to searchctl's sharded scan.
-DELEGATION_BOUND = 10**8
-
 # Default cap on the Dirichlet progression scan in extend_left_crt.
 DEFAULT_DIRICHLET_STEPS = 10**6
-
-# Multipliers per chunk in the serial minimal-extension scan.
-_SCAN_CHUNK = 1 << 21
 
 # Positive root of r**2 + r - 4 = 0, the growth rate a monotone reversed
 # sequence is compared against.
@@ -223,37 +216,15 @@ def extend_left_minimal(p1: int, p2: int, bound: int) -> int | None:
     """Least odd prime r <= bound with p2 = smallest odd prime divisor of
     p1 + r, or None when the bound is exhausted.
 
-    Enumerates even multipliers m with r = p2*m - p1 in ascending order (see
-    scan_multiplier_range for why that is exact); chunked so memory stays flat
-    for large bounds.  With p1 == p2 this returns p1, the constant extension.
+    Runs searchctl's sharded multiplier scan in-process (see
+    scan_multiplier_range for why enumerating multipliers is exact).  With
+    p1 == p2 this returns p1, the constant extension.
     """
     ensure_odd_prime(p1)
     ensure_odd_prime(p2)
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
-    m_end = multiplier_limit(p2, p1, bound) + 1
-    lo = 2
-    while lo < m_end:
-        hi = min(lo + _SCAN_CHUNK, m_end)
-        hit = scan_multiplier_range(p2, p1, lo, hi)
-        if hit is not None:
-            return hit
-        lo = hi
-    return None
-
-
-def extend_left_minimal_naive(p1: int, p2: int, bound: int) -> int | None:
-    """Slow reference scan for extend_left_minimal: walk the odd primes in
-    order and test the defining property directly.  Builds a full prime list,
-    so use moderate bounds."""
-    ensure_odd_prime(p1)
-    ensure_odd_prime(p2)
-    for r in sieve_primes(bound):
-        if r == 2:
-            continue
-        if smallest_odd_prime_divisor(p1 + r) == p2:
-            return r
-    return None
+    return _search_step(p2, p1, bound, workers=1, checkpoint_path=None)
 
 
 def generate_reversed(
@@ -267,10 +238,11 @@ def generate_reversed(
 ) -> ReversedSequence:
     """Extend seed to num_terms by repeated minimal left extension.
 
-    Steps whose bound exceeds DELEGATION_BOUND run through searchctl's
-    sharded scan (same results, resumable via checkpoint_path); smaller steps
-    use the serial enumerator directly.  on_term, when given, is called with
-    (index, value) for every term as it becomes known.
+    Every step runs through searchctl's sharded scan: the result is the same
+    for any worker count, a step starts a process pool only once it outlives
+    its first shard, and checkpoint_path makes the run resumable.  on_term,
+    when given, is called with (index, value) for every term as it becomes
+    known.
     """
     if num_terms < 2:
         raise ValueError(f"num_terms must be at least 2, got {num_terms}")
@@ -281,13 +253,9 @@ def generate_reversed(
         on_term(0, terms[0])
         on_term(1, terms[1])
     while len(terms) < num_terms:
-        constraint, partner = terms[-2], terms[-1]
-        if per_step_bound > DELEGATION_BOUND:
-            nxt = _delegated_step(
-                constraint, partner, per_step_bound, workers, checkpoint_path
-            )
-        else:
-            nxt = extend_left_minimal(partner, constraint, per_step_bound)
+        nxt = _search_step(
+            terms[-2], terms[-1], per_step_bound, workers, checkpoint_path
+        )
         if nxt is None:
             return ReversedSequence(
                 tuple(terms),
@@ -301,13 +269,17 @@ def generate_reversed(
     return ReversedSequence(tuple(terms), ReversedStatus.COMPLETE)
 
 
-def _delegated_step(
+def _search_step(
     constraint: int,
     partner: int,
     bound: int,
     workers: int,
     checkpoint_path: str | None,
 ) -> int | None:
+    if bound < constraint - partner:
+        # every candidate constraint*m - partner exceeds the bound; SearchTask
+        # refuses such a task so that checkpoints stay strictly validated
+        return None
     task = SearchTask(
         constraint, partner, bound, constant_mode=constraint == partner
     )

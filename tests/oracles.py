@@ -80,6 +80,16 @@ def simple_primes(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 
+def extend_left_minimal_naive(p1: int, p2: int, bound: int) -> int | None:
+    """Least odd prime r <= bound with p2 the smallest odd prime divisor of
+    p1 + r: walk a full prime list in order and test the property directly.
+    Builds the whole list, so use moderate bounds."""
+    for r in simple_primes(bound)[1:]:
+        if sopd_trial(p1 + r) == p2:
+            return r
+    return None
+
+
 def crt_scan(congruences) -> tuple[int, int]:
     """Brute-force simultaneous-congruence solution: try every residue class
     of the product modulus in order.  Returns (solution, modulus)."""

@@ -25,7 +25,6 @@ from pfib.seqcore import (
     Seed,
     extend_left_crt,
     extend_left_minimal,
-    extend_left_minimal_naive,
     find_prime_ap,
     generate_forward,
     generate_reversed,
@@ -101,7 +100,7 @@ def test_sixteenth_term_exceeds_two_billion_in_1s(run_cli):
 
 def test_sixteenth_term_naive_scan_agrees_to_ten_million_in_60s():
     started = time.perf_counter()
-    naive = extend_left_minimal_naive(67, 406507, 10**7)
+    naive = oracles.extend_left_minimal_naive(67, 406507, 10**7)
     elapsed = time.perf_counter() - started
     assert naive is None
     assert extend_left_minimal(67, 406507, 10**7) is None
@@ -143,7 +142,7 @@ def test_left_extension_routes_agree_on_240_pairs_in_60s():
 
         minimal = extend_left_minimal(p1, p2, p0)
         assert minimal is not None and minimal <= p0, (p1, p2)
-        assert extend_left_minimal_naive(p1, p2, minimal) == minimal, (p1, p2)
+        assert oracles.extend_left_minimal_naive(p1, p2, minimal) == minimal, (p1, p2)
         assert oracles.reversed_step_scan(p1, p2, minimal) == minimal, (p1, p2)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"took {elapsed:.2f} s"

@@ -12,7 +12,6 @@ from pfib.arith import (
     factorize,
     is_power_of_two,
     is_prime,
-    is_rough,
     odd_part,
     odd_primorial,
     sieve_primes,
@@ -206,27 +205,6 @@ class TestCrtSolve:
         system = crt_solve(congruences)
         solution, modulus = oracles.crt_scan(congruences)
         assert (system.solution, system.combined_modulus) == (solution, modulus)
-
-
-class TestIsRough:
-    @pytest.mark.parametrize("n,bound,expected", [
-        (1, 1000, True), (926, 439, False), (463, 439, True),
-        (437, 19, True), (437, 20, False), (15, 3, True), (15, 4, False),
-        (463, 464, False),  # a prime below the bound is not rough
-    ])
-    def test_examples(self, n, bound, expected):
-        assert is_rough(n, bound) is expected
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_rough(0, 3)
-
-    @given(st.integers(min_value=1, max_value=50_000),
-           st.integers(min_value=2, max_value=200))
-    @settings(max_examples=200)
-    def test_matches_definition(self, n, bound):
-        expected = all(n % p for p in oracles.simple_primes(bound - 1))
-        assert is_rough(n, bound) is expected
 
 
 class TestFactorize:

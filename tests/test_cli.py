@@ -166,6 +166,16 @@ class TestReversedCommand:
         assert lines[0].split() == A255562_LINE.split()
         assert lines[1] == "term 16: no candidate <= 2000000000"
 
+    def test_bound_below_gap_exhausts(self, run_cli):
+        # term 3 would need 999999937 to divide 3 + r, so r > 999999934
+        code, out, err = run_cli(
+            "reversed", "999999937", "3", "--terms", "3", "--bound", "200000000"
+        )
+        assert code == 3 and err == ""
+        assert out.splitlines() == [
+            "999999937 3 ", "term 3: no candidate <= 200000000"
+        ]
+
     def test_underscored_bound(self, run_cli):
         code, out, _ = run_cli(
             "reversed", "3", "5", "--terms", "16", "--bound", "2_000_000_000"

@@ -2,11 +2,13 @@ import dataclasses
 import json
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import oracles
 from pfib.searchctl import (
+    DEFAULT_SHARD_WIDTH,
     Checkpoint,
     CheckpointError,
     SearchTask,
@@ -16,6 +18,9 @@ from pfib.searchctl import (
     save_checkpoint,
     scan_multiplier_range,
 )
+from pfib.seqcore import ReversedStatus, Seed, generate_reversed
+
+A255562 = (3, 5, 7, 3, 11, 7, 37, 19, 277, 331, 223, 439, 7, 406507, 67)
 
 
 def brute_scan(constraint, partner, m_lo, m_hi):
@@ -401,6 +406,56 @@ class TestSuspendResume:
         # a fresh process would pick the answer straight off the disk
         revived = run_search(self.TASK, resume_from=load_checkpoint(path))
         assert revived.prime == 406507
+
+
+class TestPoolStart:
+    """A search runs in-process until it outlives its first shard."""
+
+    A16 = 330515394367  # the hit at multiplier 813062, in shard 13
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        # the first multiplier submitted to each pool built, in build order
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(None)
+
+            def submit(self, fn, *args, **kwargs):
+                if built[-1] is None:
+                    built[-1] = args[-2]  # shards are submitted as (..., lo, hi)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr("pfib.searchctl.ProcessPoolExecutor", CountingPool)
+        return built
+
+    def test_single_shard_steps_build_no_pool(self, pools):
+        seq = generate_reversed(Seed(3, 5), 16, 2 * 10**9, workers=2)
+        assert seq.terms == A255562
+        assert seq.status is ReversedStatus.BOUND_EXHAUSTED
+        assert pools == []
+
+    def test_pool_starts_after_first_shard(self, pools):
+        result = run_search(SearchTask(406507, 67, 10**12), workers=2)
+        assert result.prime == self.A16
+        assert result.checkpoint.shards_done == 13
+        # shard 1 ran in-process; the pool took over at shard 2
+        assert pools == [2 + DEFAULT_SHARD_WIDTH]
+
+    def test_resumed_search_goes_straight_to_pool(self, pools):
+        task = SearchTask(406507, 67, 10**12)
+        suspended = run_search(task, max_shards=6)
+        resumed = run_search(task, resume_from=suspended.checkpoint, workers=2)
+        assert resumed.prime == self.A16
+        assert resumed.checkpoint.shards_done == 13
+        assert pools == [suspended.checkpoint.next_multiplier]
+
+    def test_suspension_after_first_shard_builds_no_pool(self, pools):
+        task = SearchTask(439, 7, 10**6, shard_width=64)
+        assert not run_search(task, workers=2, max_shards=1).completed
+        assert pools == []
 
 
 class TestResultInvariants:

@@ -18,7 +18,6 @@ from pfib.seqcore import (
     TripleCheck,
     extend_left_crt,
     extend_left_minimal,
-    extend_left_minimal_naive,
     find_prime_ap,
     generate_forward,
     generate_reversed,
@@ -161,7 +160,7 @@ class TestExtendLeftMinimal:
         for p1 in SMALL_ODD_PRIMES:
             for p2 in SMALL_ODD_PRIMES:
                 structured = extend_left_minimal(p1, p2, 10_000)
-                naive = extend_left_minimal_naive(p1, p2, 10_000)
+                naive = oracles.extend_left_minimal_naive(p1, p2, 10_000)
                 scan = oracles.reversed_step_scan(p1, p2, 10_000)
                 assert structured == naive == scan, (p1, p2)
 
@@ -194,6 +193,15 @@ class TestGenerateReversed:
         assert seq.at_index == 15
         assert seq.bound == 10**6
 
+    @pytest.mark.parametrize("bound", [10**8, 2 * 10**8])
+    def test_bound_below_gap_is_exhaustion(self, bound):
+        # the third term would need 999999937 to divide 3 + r, so r > 999999934
+        seq = generate_reversed(Seed(999999937, 3), 3, bound)
+        assert seq.terms == (999999937, 3)
+        assert seq.status is ReversedStatus.BOUND_EXHAUSTED
+        assert seq.at_index == 2
+        assert seq.bound == bound
+
     def test_streaming_callback(self):
         seen = []
         generate_reversed(Seed(3, 5), 15, 10**7, on_term=lambda i, v: seen.append((i, v)))
@@ -212,15 +220,13 @@ class TestGenerateReversed:
         assert replay.status is ForwardStatus.TERMINATED
 
     def test_delegated_steps_match_serial(self):
-        # a bound above the delegation threshold routes through the sharded
-        # search; the terms must not change
         big = generate_reversed(Seed(3, 5), 13, 2 * 10**8)
         small = generate_reversed(Seed(3, 5), 13, 10**7)
         assert big.terms == small.terms == A255562[:13]
 
 
 class TestGenerateReversedCheckpoints:
-    BOUND = 2 * 10**9  # forces delegation for every step
+    BOUND = 2 * 10**9
 
     def test_checkpoint_removed_after_run(self, tmp_path):
         path = str(tmp_path / "state.json")
