@@ -18,7 +18,6 @@ from .arith import (
     is_power_of_two,
     is_prime,
     odd_part,
-    odd_primorial,
     sieve_primes,
     smallest_odd_prime_divisor,
 )

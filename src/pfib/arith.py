@@ -22,7 +22,6 @@ __all__ = [
     "is_power_of_two",
     "is_prime",
     "odd_part",
-    "odd_primorial",
     "sieve_primes",
     "smallest_odd_prime_divisor",
 ]
@@ -154,7 +153,7 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
     if u == 1:
         return None
     root = math.isqrt(u)
-    for p in _trial_primes()[1:]:  # skip 2, u is odd
+    for p in _trial_primes():  # 2 never divides the odd u
         if p > root:
             return u  # no divisor <= sqrt(u): u is prime
         if u % p == 0:
@@ -199,16 +198,6 @@ def _simple_sieve(limit: int) -> list[int]:
         if flags[p]:
             flags[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
     return [i for i in range(limit + 1) if flags[i]]
-
-
-def odd_primorial(p2: int) -> int:
-    """Product of the odd primes up to and including p2 (an odd prime)."""
-    ensure_odd_prime(p2)
-    out = 1
-    for p in sieve_primes(p2):
-        if p != 2:
-            out *= p
-    return out
 
 
 @dataclass(frozen=True)

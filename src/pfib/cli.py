@@ -2,8 +2,16 @@
 
 Subcommands: forward, extend-left, reversed, green-tao, verify-bfile.
 Exit codes: 0 success, 2 usage or input error, 3 bound or search-limit
-exhaustion, 4 verification mismatch.  `--format records` emits one JSON
-record per line with every potentially large integer as a decimal string.
+exhaustion, 4 verification mismatch, 130 interrupted.
+
+Each `cmd_*` prints nothing: it validates by raising and returns
+`(exit_code, inputs, result, plain_text)`.  `main` times the call, maps
+errors to an `error: ...` line on stderr (ValueError, CheckpointError and
+OSError exit 2, BoundExhaustedError exits 3) and prints either `plain_text`
+or, under `--format records`, one JSON record
+`{"command", "inputs", "result", "timing"}` with every potentially large
+integer as a decimal string.  `reversed` also streams each term as it is
+found: plain words on one line, or one `"event": "term"` record per term.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import time
 
 from . import seqcore
 from .arith import ensure_odd_prime
+from .searchctl import CheckpointError
 from .seqcore import (
     ForwardStatus,
     PrimeAp,
@@ -30,8 +39,12 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_MISMATCH = 4
+EXIT_INTERRUPTED = 130
 
 WORKERS_ENV = "PFIB_WORKERS"
+
+# what every cmd_* returns: (exit_code, inputs, result, plain_text)
+_Outcome = tuple[int, dict, dict, str]
 
 
 class BFileError(Exception):
@@ -68,11 +81,6 @@ def parse_bfile(lines) -> list[tuple[int, int]]:
             raise BFileError(line_no, f"negative value {value}")
         entries.append((index, value))
     return entries
-
-
-def _error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def _emit(record: dict) -> None:
@@ -112,135 +120,58 @@ def _forward_suffix(seq) -> str:
     return f"truncated: {seq.limit}"
 
 
-def _forward_result(seq) -> dict:
+def cmd_forward(args) -> _Outcome:
+    seed = Seed(_parse_odd_prime(args.p1), _parse_odd_prime(args.p2))
+    seq = seqcore.generate_forward(seed, args.max_terms)
+    inputs = {"p1": str(seed.p1), "p2": str(seed.p2), "max_terms": str(args.max_terms)}
     result = {"terms": [str(t) for t in seq.terms], "status": seq.status.value}
     if seq.final_sum is not None:
         result["final_sum"] = str(seq.final_sum)
     if seq.limit is not None:
         result["limit"] = str(seq.limit)
-    return result
+    text = f"{' '.join(str(t) for t in seq.terms)} | {_forward_suffix(seq)}"
+    return EXIT_OK, inputs, result, text
 
 
-def cmd_forward(args) -> int:
-    try:
-        seed = Seed(_parse_odd_prime(args.p1), _parse_odd_prime(args.p2))
-    except ValueError as exc:
-        return _error(str(exc))
-    started = time.perf_counter()
-    seq = seqcore.generate_forward(seed, args.max_terms)
-    elapsed = time.perf_counter() - started
-    if args.format == "records":
-        _emit(
-            {
-                "command": "forward",
-                "inputs": {
-                    "p1": str(seed.p1),
-                    "p2": str(seed.p2),
-                    "max_terms": str(args.max_terms),
-                },
-                "result": _forward_result(seq),
-                "timing": elapsed,
-            }
-        )
-    else:
-        print(f"{' '.join(str(t) for t in seq.terms)} | {_forward_suffix(seq)}")
-    return EXIT_OK
-
-
-def cmd_extend_left(args) -> int:
-    try:
-        p1, p2 = _parse_odd_prime(args.p1), _parse_odd_prime(args.p2)
-    except ValueError as exc:
-        return _error(str(exc))
-    started = time.perf_counter()
+def cmd_extend_left(args) -> _Outcome:
+    p1, p2 = _parse_odd_prime(args.p1), _parse_odd_prime(args.p2)
     inputs = {"p1": str(p1), "p2": str(p2), "method": args.method}
     if args.method == "crt":
         inputs["max_steps"] = str(args.max_steps)
-        try:
-            p0, system = seqcore.extend_left_crt(p1, p2, args.max_steps)
-        except ValueError as exc:
-            return _error(str(exc))
-        except BoundExhaustedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EXHAUSTED
-        elapsed = time.perf_counter() - started
+        p0, system = seqcore.extend_left_crt(p1, p2, args.max_steps)
         index = (p0 - system.solution) // system.combined_modulus
-        if args.format == "records":
-            _emit(
-                {
-                    "command": "extend-left",
-                    "inputs": inputs,
-                    "result": {
-                        "p0": str(p0),
-                        "system": [
-                            {"residue": str(r), "modulus": str(m)}
-                            for r, m in system.congruences
-                        ],
-                        "solution": str(system.solution),
-                        "combined_modulus": str(system.combined_modulus),
-                        "progression_index": index,
-                    },
-                    "timing": elapsed,
-                }
-            )
-        else:
-            print(p0)
-            print(
-                "system: "
-                + ", ".join(f"{r} mod {m}" for r, m in system.congruences)
-            )
-            print(f"solution: {system.solution} mod {system.combined_modulus}")
-            print(f"progression index: {index}")
-        return EXIT_OK
+        result = {
+            "p0": str(p0),
+            "system": [
+                {"residue": str(r), "modulus": str(m)} for r, m in system.congruences
+            ],
+            "solution": str(system.solution),
+            "combined_modulus": str(system.combined_modulus),
+            "progression_index": index,
+        }
+        text = "\n".join([
+            str(p0),
+            "system: " + ", ".join(f"{r} mod {m}" for r, m in system.congruences),
+            f"solution: {system.solution} mod {system.combined_modulus}",
+            f"progression index: {index}",
+        ])
+        return EXIT_OK, inputs, result, text
     inputs["bound"] = str(args.bound)
-    try:
-        p0 = seqcore.extend_left_minimal(p1, p2, args.bound)
-    except ValueError as exc:
-        return _error(str(exc))
-    elapsed = time.perf_counter() - started
+    p0 = seqcore.extend_left_minimal(p1, p2, args.bound)
     if p0 is None:
-        if args.format == "records":
-            _emit(
-                {
-                    "command": "extend-left",
-                    "inputs": inputs,
-                    "result": {
-                        "p0": None,
-                        "status": "bound_exhausted",
-                        "bound": str(args.bound),
-                    },
-                    "timing": elapsed,
-                }
-            )
-        else:
-            print(f"no candidate <= {args.bound}")
-        return EXIT_EXHAUSTED
-    if args.format == "records":
-        _emit(
-            {
-                "command": "extend-left",
-                "inputs": inputs,
-                "result": {"p0": str(p0)},
-                "timing": elapsed,
-            }
-        )
-    else:
-        print(p0)
-    return EXIT_OK
+        result = {"p0": None, "status": "bound_exhausted", "bound": str(args.bound)}
+        return EXIT_EXHAUSTED, inputs, result, f"no candidate <= {args.bound}"
+    return EXIT_OK, inputs, {"p0": str(p0)}, str(p0)
 
 
-def cmd_reversed(args) -> int:
-    try:
-        seed = Seed(_parse_odd_prime(args.p), _parse_odd_prime(args.q))
-        workers = _resolve_workers(args.workers)
-    except ValueError as exc:
-        return _error(str(exc))
+def cmd_reversed(args) -> _Outcome:
+    seed = Seed(_parse_odd_prime(args.p), _parse_odd_prime(args.q))
+    workers = _resolve_workers(args.workers)
     if args.terms < 2:
-        return _error(f"--terms must be at least 2, got {args.terms}")
+        raise ValueError(f"--terms must be at least 2, got {args.terms}")
     if args.bound < 1:
-        return _error(f"--bound must be positive, got {args.bound}")
+        raise ValueError(f"--bound must be positive, got {args.bound}")
     records = args.format == "records"
-    stream = sys.stdout
 
     def on_term(index: int, value: int) -> None:
         if records:
@@ -253,10 +184,9 @@ def cmd_reversed(args) -> int:
                 }
             )
         else:
-            stream.write(f"{value} " if index + 1 < args.terms else f"{value}")
-            stream.flush()
+            sys.stdout.write(f"{value} " if index + 1 < args.terms else f"{value}")
+            sys.stdout.flush()
 
-    started = time.perf_counter()
     try:
         seq = seqcore.generate_reversed(
             seed,
@@ -266,133 +196,82 @@ def cmd_reversed(args) -> int:
             checkpoint_path=args.checkpoint,
             on_term=on_term,
         )
-    except KeyboardInterrupt:
-        stream.write("\n")
-        print("interrupted; checkpoint written if one was requested", file=sys.stderr)
-        return 130
-    elapsed = time.perf_counter() - started
-    exhausted = seq.status is ReversedStatus.BOUND_EXHAUSTED
-    if records:
-        result = {
-            "terms": [str(t) for t in seq.terms],
-            "status": seq.status.value,
-        }
-        if exhausted:
-            result["at_term"] = seq.at_index + 1
-            result["bound"] = str(seq.bound)
-        _emit(
-            {
-                "command": "reversed",
-                "inputs": {
-                    "p": str(seed.p1),
-                    "q": str(seed.p2),
-                    "terms": str(args.terms),
-                    "bound": str(args.bound),
-                    "workers": str(workers),
-                },
-                "result": result,
-                "timing": elapsed,
-            }
-        )
-    else:
-        stream.write("\n")
-        stream.flush()
-        if exhausted:
-            print(f"term {seq.at_index + 1}: no candidate <= {seq.bound}")
-    return EXIT_EXHAUSTED if exhausted else EXIT_OK
+    finally:
+        if not records:
+            print(flush=True)  # end the streamed line, also on an error or Ctrl-C
+    inputs = {
+        "p": str(seed.p1),
+        "q": str(seed.p2),
+        "terms": str(args.terms),
+        "bound": str(args.bound),
+        "workers": str(workers),
+    }
+    result = {"terms": [str(t) for t in seq.terms], "status": seq.status.value}
+    if seq.status is not ReversedStatus.BOUND_EXHAUSTED:
+        return EXIT_OK, inputs, result, ""
+    result["at_term"] = seq.at_index + 1
+    result["bound"] = str(seq.bound)
+    text = f"term {seq.at_index + 1}: no candidate <= {seq.bound}"
+    return EXIT_EXHAUSTED, inputs, result, text
 
 
-def cmd_green_tao(args) -> int:
+def cmd_green_tao(args) -> _Outcome:
     if args.k < 3:
-        return _error(f"--k must be at least 3, got {args.k}")
+        raise ValueError(f"--k must be at least 3, got {args.k}")
     needed = (1 << (args.k - 2)) + 1
-    started = time.perf_counter()
     if args.ap is not None:
         fields = args.ap.split(",")
         if len(fields) != 3:
-            return _error(f"--ap takes first,difference,length, got {args.ap!r}")
-        try:
-            first, difference, length = (int(f) for f in fields)
-            ap = PrimeAp(first, difference, length)
-        except ValueError as exc:
-            return _error(str(exc))
+            raise ValueError(f"--ap takes first,difference,length, got {args.ap!r}")
+        ap = PrimeAp(*(int(f) for f in fields))
     else:
         ap = seqcore.find_prime_ap(needed, args.search_limit)
         if ap is None:
-            print(
+            raise BoundExhaustedError(
                 f"no prime progression of length {needed} with first term "
-                f"<= {args.search_limit}",
-                file=sys.stderr,
+                f"<= {args.search_limit}"
             )
-            return EXIT_EXHAUSTED
-    try:
-        seq = seqcore.green_tao_sequence(args.k, ap)
-    except ValueError as exc:
-        return _error(str(exc))
-    elapsed = time.perf_counter() - started
+    seq = seqcore.green_tao_sequence(args.k, ap)
     indices = seqcore.index_recurrence(args.k)
-    if args.format == "records":
-        _emit(
-            {
-                "command": "green-tao",
-                "inputs": {
-                    "k": str(args.k),
-                    "ap": args.ap,
-                    "search_limit": str(args.search_limit),
-                },
-                "result": {
-                    "ap": {
-                        "first": str(ap.first),
-                        "difference": str(ap.difference),
-                        "length": ap.length,
-                    },
-                    "indices": indices,
-                    "terms": [str(t) for t in seq.terms],
-                    "status": seq.status.value,
-                    "final_sum": None if seq.final_sum is None else str(seq.final_sum),
-                    "length": len(seq.terms),
-                },
-                "timing": elapsed,
-            }
-        )
-    else:
-        print(f"ap: first={ap.first} difference={ap.difference} length={ap.length}")
-        print(f"indices: {' '.join(str(b) for b in indices)}")
-        print(f"sequence: {' '.join(str(t) for t in seq.terms)} | {_forward_suffix(seq)}")
-        print(f"length: {len(seq.terms)} (required >= {args.k})")
-    return EXIT_OK
+    inputs = {"k": str(args.k), "ap": args.ap, "search_limit": str(args.search_limit)}
+    result = {
+        "ap": {
+            "first": str(ap.first),
+            "difference": str(ap.difference),
+            "length": ap.length,
+        },
+        "indices": indices,
+        "terms": [str(t) for t in seq.terms],
+        "status": seq.status.value,
+        "final_sum": None if seq.final_sum is None else str(seq.final_sum),
+        "length": len(seq.terms),
+    }
+    text = "\n".join([
+        f"ap: first={ap.first} difference={ap.difference} length={ap.length}",
+        f"indices: {' '.join(str(b) for b in indices)}",
+        f"sequence: {' '.join(str(t) for t in seq.terms)} | {_forward_suffix(seq)}",
+        f"length: {len(seq.terms)} (required >= {args.k})",
+    ])
+    return EXIT_OK, inputs, result, text
 
 
-def cmd_verify_bfile(args) -> int:
-    try:
-        seed = Seed(_parse_odd_prime(args.p), _parse_odd_prime(args.q))
-    except ValueError as exc:
-        return _error(str(exc))
+def cmd_verify_bfile(args) -> _Outcome:
+    seed = Seed(_parse_odd_prime(args.p), _parse_odd_prime(args.q))
     try:
         with open(args.path, "r", encoding="ascii") as handle:
             entries = parse_bfile(handle)
     except OSError as exc:
-        return _error(f"cannot read {args.path}: {exc}")
+        raise ValueError(f"cannot read {args.path}: {exc}") from exc
     except BFileError as exc:
-        return _error(f"{args.path}: {exc}")
+        raise ValueError(f"{args.path}: {exc}") from exc
     if not entries:
-        return _error(f"{args.path}: no entries")
-    started = time.perf_counter()
+        raise ValueError(f"{args.path}: no entries")
     bound = 2 * max(value for _, value in entries) + 1000
     seq = seqcore.generate_reversed(seed, len(entries), bound)
-    elapsed = time.perf_counter() - started
-    mismatch = None
-    for position, (index, value) in enumerate(entries):
-        if position >= len(seq.terms):
-            mismatch = (index, value, None)
-            break
-        if seq.terms[position] != value:
-            mismatch = (index, value, seq.terms[position])
-            break
-    if args.format == "records":
-        result = {"entries": len(entries), "status": "match"}
-        if mismatch is not None:
-            index, expected, got = mismatch
+    inputs = {"p": str(seed.p1), "q": str(seed.p2), "path": args.path}
+    for position, (index, expected) in enumerate(entries):
+        got = seq.terms[position] if position < len(seq.terms) else None
+        if got != expected:
             result = {
                 "entries": len(entries),
                 "status": "mismatch",
@@ -400,27 +279,11 @@ def cmd_verify_bfile(args) -> int:
                 "expected": str(expected),
                 "got": None if got is None else str(got),
             }
-        _emit(
-            {
-                "command": "verify-bfile",
-                "inputs": {"p": str(seed.p1), "q": str(seed.p2), "path": args.path},
-                "result": result,
-                "timing": elapsed,
-            }
-        )
-    else:
-        if mismatch is None:
-            print(f"ok: {len(entries)} terms match")
-        else:
-            index, expected, got = mismatch
             got_text = f"no candidate <= {bound}" if got is None else str(got)
-            print(f"index {index}: expected {expected}, got {got_text}")
-    return EXIT_OK if mismatch is None else EXIT_MISMATCH
-
-
-def _int_arg(text: str) -> int:
-    # int() already accepts 2_000_000_000 style separators
-    return int(text)
+            text = f"index {index}: expected {expected}, got {got_text}"
+            return EXIT_MISMATCH, inputs, result, text
+    result = {"entries": len(entries), "status": "match"}
+    return EXIT_OK, inputs, result, f"ok: {len(entries)} terms match"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("forward", parents=[common], help="run the forward recurrence")
     p.add_argument("p1")
     p.add_argument("p2")
-    p.add_argument("--max-terms", type=_int_arg, default=1000)
+    p.add_argument("--max-terms", type=int, default=1000)
     p.set_defaults(func=cmd_forward)
 
     p = sub.add_parser(
@@ -448,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p1")
     p.add_argument("p2")
     p.add_argument("--method", choices=("minimal", "crt"), default="minimal")
-    p.add_argument("--bound", type=_int_arg, default=10**6)
-    p.add_argument("--max-steps", type=_int_arg, default=seqcore.DEFAULT_DIRICHLET_STEPS)
+    p.add_argument("--bound", type=int, default=10**6)
+    p.add_argument("--max-steps", type=int, default=seqcore.DEFAULT_DIRICHLET_STEPS)
     p.set_defaults(func=cmd_extend_left)
 
     p = sub.add_parser(
@@ -457,18 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("p")
     p.add_argument("q")
-    p.add_argument("--terms", type=_int_arg, required=True)
-    p.add_argument("--bound", type=_int_arg, default=10**7)
-    p.add_argument("--workers", type=_int_arg, default=None)
+    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--bound", type=int, default=10**7)
+    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--checkpoint", default=None, metavar="PATH")
     p.set_defaults(func=cmd_reversed)
 
     p = sub.add_parser(
         "green-tao", parents=[common], help="build a length-k sequence from a prime AP"
     )
-    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--k", type=int, required=True)
     p.add_argument("--ap", default=None, metavar="FIRST,DIFF,LEN")
-    p.add_argument("--search-limit", type=_int_arg, default=1000)
+    p.add_argument("--search-limit", type=int, default=1000)
     p.set_defaults(func=cmd_green_tao)
 
     p = sub.add_parser(
@@ -488,7 +351,30 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    started = time.perf_counter()
+    try:
+        code, inputs, result, text = args.func(args)
+    except (ValueError, CheckpointError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BoundExhaustedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EXHAUSTED
+    except KeyboardInterrupt:
+        print("interrupted; checkpoint written if one was requested", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    if args.format == "records":
+        _emit(
+            {
+                "command": args.command,
+                "inputs": inputs,
+                "result": result,
+                "timing": time.perf_counter() - started,
+            }
+        )
+    elif text:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .arith import (
     ensure_odd_prime,
     is_power_of_two,
     is_prime,
-    odd_primorial,
     sieve_primes,
     smallest_odd_prime_divisor,
 )
@@ -194,7 +193,7 @@ def extend_left_crt(
     congruences.append((-p1 % p2, p2))
     system = crt_solve(congruences)
     a, modulus = system.solution, system.combined_modulus
-    if modulus != odd_primorial(p2) or math.gcd(a, modulus) != 1:
+    if math.gcd(a, modulus) != 1:
         raise DegenerateSystemError(
             f"solution {a} mod {modulus} shares a factor with the modulus"
         )

@@ -13,7 +13,6 @@ from pfib.arith import (
     is_power_of_two,
     is_prime,
     odd_part,
-    odd_primorial,
     sieve_primes,
     smallest_odd_prime_divisor,
 )
@@ -143,23 +142,6 @@ class TestSievePrimes:
         with pytest.raises(ValueError, match="ceiling"):
             sieve_primes(1 << 33)
         assert sieve_primes(10, ceiling=100) == [2, 3, 5, 7]
-
-
-class TestOddPrimorial:
-    @pytest.mark.parametrize("p,expected", [
-        (3, 3), (5, 15), (7, 105), (31, 100280245065),
-        (61, 58644190679703485491635),
-    ])
-    def test_values(self, p, expected):
-        assert odd_primorial(p) == expected
-
-    def test_61_needs_76_bits(self):
-        assert odd_primorial(61).bit_length() == 76
-
-    @pytest.mark.parametrize("p", [2, 1, 9, 15])
-    def test_rejects_non_odd_primes(self, p):
-        with pytest.raises(ValueError):
-            odd_primorial(p)
 
 
 class TestCrtSolve:

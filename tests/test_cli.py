@@ -75,6 +75,11 @@ class TestForwardCommand:
         assert out == "" and err.startswith("error:")
 
 
+    def test_max_terms_below_two_is_usage_error(self, run_cli):
+        code, out, err = run_cli("forward", "5", "7", "--max-terms", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "max_terms" in err
+
 class TestExtendLeftCommand:
     def test_minimal_plain(self, run_cli):
         code, out, _ = run_cli("extend-left", "5", "7")
@@ -222,6 +227,34 @@ class TestReversedCommand:
         assert fragment in err
 
 
+    def test_refused_checkpoint_is_left_in_place(self, run_cli, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"format_version": 1}')
+        code, _, err = run_cli(
+            "reversed", "3", "5", "--terms", "5", "--checkpoint", str(path)
+        )
+        assert code == 2 and err.startswith("error:")
+        assert path.read_text() == '{"format_version": 1}'
+
+    def test_checkpoint_in_missing_directory(self, run_cli, tmp_path):
+        path = tmp_path / "missing" / "state.json"
+        code, _, err = run_cli(
+            "reversed", "3", "5", "--terms", "5", "--checkpoint", str(path)
+        )
+        assert code == 2 and err.startswith("error:")
+
+    def test_interrupt_keeps_records_stream_clean(self, run_cli, monkeypatch):
+        def interrupted(seed, num_terms, per_step_bound, *, on_term, **kwargs):
+            on_term(0, seed.p1)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("pfib.seqcore.generate_reversed", interrupted)
+        code, out, err = run_cli(
+            "reversed", "3", "5", "--terms", "5", "--format", "records"
+        )
+        assert code == 130 and "interrupted" in err
+        assert [json.loads(line)["value"] for line in out.splitlines()] == ["3"]
+
 class TestWorkerResolution:
     def test_env_variable_used(self, run_cli, monkeypatch):
         monkeypatch.setenv("PFIB_WORKERS", "3")
@@ -358,6 +391,22 @@ class TestVerifyBfileCommand:
         assert code == 2
         assert "cannot read" in err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ("forward", "5", "7"),
+    ("extend-left", "5", "7", "--method", "crt"),
+    ("reversed", "3", "5", "--terms", "4", "--workers", "1"),
+    ("green-tao", "--k", "3"),
+    ("verify-bfile", "3", "5", None),  # None stands for the bundled b-file
+], ids=lambda argv: argv[0])
+def test_records_share_one_envelope(run_cli, bfile_path, argv):
+    argv = [bfile_path if arg is None else arg for arg in argv]
+    code, out, _ = run_cli(*argv, "--format", "records")
+    assert code == 0
+    final = json.loads(out.splitlines()[-1])
+    assert set(final) == {"command", "inputs", "result", "timing"}
+    assert final["command"] == argv[0]
 
 class TestParserPlumbing:
     def test_no_arguments_is_usage_error(self, run_cli):

@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -135,6 +136,7 @@ class TestExtendLeftCrt:
         assert total % p2 == 0
         assert all(total % q for q in oracles.simple_primes(p2 - 1)[1:])
         assert p0 % system.combined_modulus == system.solution
+        assert system.combined_modulus == math.prod(oracles.simple_primes(p2)[1:])
 
 
 class TestExtendLeftMinimal:
