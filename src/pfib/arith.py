@@ -1,16 +1,15 @@
 """Integer arithmetic kernel: primality, sieves, factorization, CRT.
 
-Everything runs on Python's native arbitrary-precision integers.  The one
-place where the 64-bit boundary matters is `is_prime`: below 2**64 the answer
-is deterministic (published Miller-Rabin witness sets), above it the test is
-probabilistic with error below 2**-128.
+Everything runs on Python's native arbitrary-precision integers, and every
+result is deterministic.  `is_prime` is the Baillie-PSW test (a strong base-2
+test plus a strong Lucas test): exact below 2**64, and no composite is known
+to pass it above.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,31 +25,8 @@ __all__ = [
     "smallest_odd_prime_divisor",
 ]
 
-# Primes below 64, used as a cheap screen before Miller-Rabin.
+# Primes below 64, used as a cheap screen before the Baillie-PSW test.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-
-# Deterministic Miller-Rabin witness sets with their validity thresholds
-# (Jaeschke 1993; Sorenson & Webster 2015 for the last rows; same table as
-# en.wikipedia.org/wiki/Miller-Rabin_primality_test#Testing_against_small_sets_of_bases).
-# The final row covers every n < 2**64.
-_MR_TIERS = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (4_759_123_141, (2, 7, 61)),
-    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
-
-# Rounds of the randomized strong-pseudoprime test above 2**64.  Each round
-# has error probability at most 1/4, so 64 rounds give error below 2**-128.
-_RANDOM_ROUNDS = 64
 
 # Trial division handles prime factors up to this cutoff; Brent's rho takes
 # over beyond it.
@@ -59,38 +35,15 @@ _TRIAL_CUTOFF = 1 << 16
 # Segmented sieve window (entries per segment).
 _SIEVE_WINDOW = 1 << 20
 
-# Default guard against accidentally asking for an absurd prime list.
-DEFAULT_SIEVE_CEILING = 1 << 32
-
-_tls = threading.local()
+# Guard against accidentally asking for an absurd prime list.
+_SIEVE_CEILING = 1 << 32
 
 
-def _default_rng() -> random.Random:
-    rng = getattr(_tls, "rng", None)
-    if rng is None:
-        rng = _tls.rng = random.Random()
-    return rng
-
-
-def _strong_probable_prime(n: int, base: int, d: int, s: int) -> bool:
-    if base % n == 0:
-        return True
-    x = pow(base, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
-def is_prime(n: int, rng: random.Random | None = None) -> bool:
-    """Primality test: deterministic below 2**64, probabilistic above.
-
-    For n >= 2**64 the test runs 64 rounds of Miller-Rabin with bases drawn
-    from `rng` (a thread-local generator by default); a composite slips
-    through with probability below 2**-128.
+def is_prime(n: int) -> bool:
+    """Baillie-PSW test: a strong probable-prime test to base 2, then a strong
+    Lucas test with Selfridge's parameters (Baillie & Wagstaff 1980; Pomerance,
+    Selfridge & Wagstaff 1980).  Exact below 2**64, where every base-2 strong
+    pseudoprime has been checked; no composite is known to pass it above.
     """
     if n < 2:
         return False
@@ -101,17 +54,70 @@ def is_prime(n: int, rng: random.Random | None = None) -> bool:
             return False
     if n < 4489:  # 67**2; no composite below it survives the screen above
         return True
+    return _strong_base_two(n) and _strong_lucas(n)
+
+
+def _strong_base_two(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
+    x = pow(2, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    # n is odd with no prime factor below 67.  Selfridge's method A: the first
+    # D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  A square
+    # n has no such D, so it is refused before the search.
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:  # gcd(D, n) > 1, and |D| stays far below n
+        return False
+    Q = (1 - D) // 4
+    # n + 1 = d * 2**s with d odd; walk the bits of d for U_d, V_d and Q**d
+    d = n + 1
+    s = (d & -d).bit_length() - 1
     d >>= s
-    for threshold, bases in _MR_TIERS:
-        if n < threshold:
-            return all(_strong_probable_prime(n, b, d, s) for b in bases)
-    rng = rng or _default_rng()
-    return all(
-        _strong_probable_prime(n, rng.randrange(2, n - 1), d, s)
-        for _ in range(_RANDOM_ROUNDS)
-    )
+    half = (n + 1) // 2  # the inverse of 2 modulo the odd n
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = (u + v) * half % n, (D * u + v) * half % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def ensure_odd_prime(n: int) -> int:
@@ -163,10 +169,10 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
     return min(factorize(u))
 
 
-def sieve_primes(limit: int, *, ceiling: int = DEFAULT_SIEVE_CEILING) -> list[int]:
+def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, via a sieve segmented into 2**20-entry windows."""
-    if limit >= ceiling:
-        raise ValueError(f"sieve limit {limit} exceeds ceiling {ceiling}")
+    if limit >= _SIEVE_CEILING:
+        raise ValueError(f"sieve limit {limit} exceeds ceiling {_SIEVE_CEILING}")
     if limit < 2:
         return []
     if limit < _SIEVE_WINDOW:
@@ -237,12 +243,11 @@ def crt_solve(congruences) -> CrtSystem:
     return CrtSystem(tuple(pairs), modulus, x % modulus)
 
 
-def factorize(n: int, rng: random.Random | None = None) -> list[int]:
+def factorize(n: int) -> list[int]:
     """Prime factorization of n >= 1 as a sorted list with multiplicity.
 
     Trial division below 2**16, then Brent's cycle-finding rho on whatever
-    cofactor survives.  Output order is deterministic regardless of the rho
-    randomness.
+    cofactor survives.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
@@ -259,24 +264,23 @@ def factorize(n: int, rng: random.Random | None = None) -> list[int]:
         # no factor below 2**16 and n <= ~2**32: n is prime
         factors.append(n)
         return sorted(factors)
-    rng = rng or _default_rng()
     stack = [n]
     while stack:
         m = stack.pop()
-        if is_prime(m, rng):
+        if is_prime(m):
             factors.append(m)
             continue
-        d = _brent_rho(m, rng)
+        d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
     return sorted(factors)
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    # n is odd, composite, and has no factor below 2**16
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
+def _brent_rho(n: int) -> int:
+    # n is odd, composite, and has no factor below 2**16.  The walk y -> y*y + c
+    # starts at 2; when it closes on n itself, the next c gets a turn.
+    for c in itertools.count(1):
+        y = 2
         m = 128
         g = r = q = 1
         x = ys = y

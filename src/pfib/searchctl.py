@@ -15,13 +15,14 @@ shard never starts a process pool.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .arith import ensure_odd_prime, is_prime, sieve_primes, smallest_odd_prime_divisor
@@ -41,7 +42,8 @@ __all__ = [
 
 DEFAULT_SHARD_WIDTH = 1 << 16
 CHECKPOINT_FORMAT_VERSION = 1
-DEFAULT_CHECKPOINT_INTERVAL = 30.0
+# Seconds between checkpoint writes while waiting on the process pool.
+_CHECKPOINT_INTERVAL = 30.0
 
 
 class CheckpointError(Exception):
@@ -55,23 +57,17 @@ class SearchTask:
     `constraint_prime` is the prime whose minimality must hold (the divisor),
     `partner` the known neighbour term, `bound` the inclusive candidate
     ceiling, `shard_width` the multiplier-range width of one work unit.
-    Equal primes describe a constant extension and must be flagged explicitly
-    at construction; the flag itself is not part of the task identity.
+    Equal primes describe a constant extension.
     """
 
     constraint_prime: int
     partner: int
     bound: int
     shard_width: int = DEFAULT_SHARD_WIDTH
-    constant_mode: InitVar[bool] = False
 
-    def __post_init__(self, constant_mode: bool):
+    def __post_init__(self):
         ensure_odd_prime(self.constraint_prime)
         ensure_odd_prime(self.partner)
-        if self.constraint_prime == self.partner and not constant_mode:
-            raise ValueError(
-                "equal constraint and partner primes need constant_mode=True"
-            )
         if self.shard_width < 1:
             raise ValueError(f"shard_width must be positive, got {self.shard_width}")
         if self.bound < self.constraint_prime - self.partner:
@@ -104,8 +100,10 @@ class Checkpoint:
             )
         if self.shards_done < 0:
             raise CheckpointError(f"negative shards_done {self.shards_done}")
-        if self.wall_seconds < 0:
-            raise CheckpointError(f"negative wall_seconds {self.wall_seconds}")
+        if not math.isfinite(self.wall_seconds) or self.wall_seconds < 0:
+            raise CheckpointError(
+                f"non-finite or negative wall_seconds {self.wall_seconds}"
+            )
         best = self.best_found
         if best is None:
             return
@@ -264,7 +262,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             raw_task["partner"],
             raw_task["bound"],
             raw_task["shard_width"],
-            constant_mode=raw_task["constraint_prime"] == raw_task["partner"],
         )
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid task ({exc})") from exc
@@ -289,7 +286,6 @@ def run_search(
     workers: int = 1,
     *,
     checkpoint_path: str | None = None,
-    checkpoint_interval: float = DEFAULT_CHECKPOINT_INTERVAL,
     max_shards: int | None = None,
 ) -> SearchResult:
     """Run one bounded reversed-step search to a result or suspension.
@@ -300,7 +296,7 @@ def run_search(
     checkpoint's shards count); after that, with `workers` > 1, the remaining
     shards go to a process pool of that size.  With a
     `checkpoint_path`, state is written after every finalized shard and on a
-    timer while waiting; `max_shards` suspends the run after that many shards
+    30 s timer while waiting; `max_shards` suspends the run after that many shards
     (the deterministic stand-in for killing the process).  Resuming with a
     checkpoint for a different task raises CheckpointError.
     """
@@ -361,7 +357,7 @@ def run_search(
                 hi, future = pending.popleft()
                 while True:
                     try:
-                        hit = future.result(timeout=checkpoint_interval)
+                        hit = future.result(timeout=_CHECKPOINT_INTERVAL)
                         break
                     except FutureTimeout:
                         emit(snapshot(m_next, None))

@@ -279,9 +279,7 @@ def _search_step(
         # every candidate constraint*m - partner exceeds the bound; SearchTask
         # refuses such a task so that checkpoints stay strictly validated
         return None
-    task = SearchTask(
-        constraint, partner, bound, constant_mode=constraint == partner
-    )
+    task = SearchTask(constraint, partner, bound)
     resume = None
     step_path = checkpoint_path
     if checkpoint_path is not None and os.path.exists(checkpoint_path):

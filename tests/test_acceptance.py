@@ -237,7 +237,6 @@ def test_search_results_identical_across_workers_and_resume():
         task = SearchTask(
             constraint, partner, bound,
             shard_width=rng.choice([64, 256, 1024]),
-            constant_mode=constraint == partner,
         )
         results = {w: run_search(task, workers=w) for w in (1, 2, 8)}
         reference = results[1]

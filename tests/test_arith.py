@@ -28,14 +28,15 @@ class TestIsPrime:
         assert not is_prime(n)
 
     def test_strong_pseudoprimes_not_fooled(self):
-        # 2047 = 23 * 89 passes base 2 alone; 3215031751 = 151 * 751 * 28351
-        # passes bases {2, 3, 5, 7}; both sit at witness-tier boundaries
+        # 2047 = 23 * 89 passes the base-2 strong test; 3215031751 =
+        # 151 * 751 * 28351 passes the strong test to every base in {2, 3, 5, 7}
         assert not is_prime(2047)
         assert not is_prime(3215031751)
         assert 3215031751 == 151 * 751 * 28351
 
     def test_tier_table_last_boundary(self):
-        # smallest composite passing bases {2..23}; forces the wider tiers
+        # smallest composite passing the strong test to every prime base
+        # from 2 to 23
         n = 3825123056546413051
         assert n == 149491 * 747451 * 34233211
         assert all(oracles.trial_is_prime(f) for f in (149491, 747451, 34233211))
@@ -49,11 +50,40 @@ class TestIsPrime:
         assert m67 == 193707721 * 761838257287
         assert not is_prime(m67)
 
-    def test_probabilistic_rng_is_isolated(self):
-        # passing an rng must not perturb, and results must not depend on it
-        a = is_prime((1 << 89) - 1, random.Random(1))
-        b = is_prime((1 << 89) - 1, random.Random(99))
-        assert a and b
+    # OEIS A001262 below 10**5: each passes the base-2 strong test; the five
+    # without a prime factor below 67 reach the Lucas half, which must refuse them
+    @pytest.mark.parametrize("n", [
+        2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633,
+        65281, 74665, 80581, 85489, 88357, 90751,
+    ])
+    def test_base_two_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    # OEIS A217255 below 10**5: each passes the strong Lucas test with
+    # Selfridge's parameters; the nine without a prime factor below 67 reach
+    # the base-2 half, which must refuse them
+    @pytest.mark.parametrize("n", [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+        75077, 97439,
+    ])
+    def test_strong_lucas_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("p", [1093, 3511])
+    def test_wieferich_squares(self, p):
+        # p**2 passes the base-2 strong test, so the Lucas step must refuse
+        # it; a square has no D with (D/n) = -1 for Selfridge's search to find
+        assert not is_prime(p * p)
+
+    def test_mersenne_primes_and_product(self):
+        m521, m607, m1279 = ((1 << e) - 1 for e in (521, 607, 1279))
+        assert is_prime(m521) and is_prime(m607) and is_prime(m1279)
+        assert not is_prime(m521 * m607)
+
+    @given(st.integers(min_value=1 << 64, max_value=3_300_000_000_000_000_000_000_000))
+    @settings(max_examples=300)
+    def test_matches_miller_rabin_oracle_above_64_bits(self, n):
+        assert is_prime(n) == oracles.mr_is_prime(n)
 
     @given(st.integers(min_value=-100, max_value=200_000))
     @settings(max_examples=300)
@@ -141,7 +171,8 @@ class TestSievePrimes:
     def test_ceiling_guard(self):
         with pytest.raises(ValueError, match="ceiling"):
             sieve_primes(1 << 33)
-        assert sieve_primes(10, ceiling=100) == [2, 3, 5, 7]
+        with pytest.raises(ValueError, match="ceiling"):
+            sieve_primes(1 << 32)
 
 
 class TestCrtSolve:
@@ -209,9 +240,16 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(0)
 
-    def test_output_independent_of_rng(self):
-        n = 1000003 * 1000033 * 7
-        assert factorize(n, random.Random(1)) == factorize(n, random.Random(2))
+    def test_small_factor_and_semiprime_cofactor(self):
+        assert factorize(7 * 1000003 * 1000033) == [7, 1000003, 1000033]
+
+    @pytest.mark.parametrize("n,expected", [
+        (65587 * 65701, [65587, 65701]),
+        (65537 * 65537, [65537, 65537]),
+    ])
+    def test_rho_retries_when_walk_closes_on_n(self, n, expected):
+        # with y0 = 2 the c = 1 walk finds only n itself on these inputs
+        assert factorize(n) == expected
 
     @given(st.integers(min_value=1, max_value=10**6))
     @settings(max_examples=200)

@@ -38,16 +38,7 @@ class TestSearchTask:
     def test_accepts_valid(self):
         task = SearchTask(439, 7, 10**6)
         assert task.shard_width == 1 << 16
-        SearchTask(7, 7, 100, constant_mode=True)
-
-    def test_equal_primes_need_flag(self):
-        with pytest.raises(ValueError, match="constant_mode"):
-            SearchTask(7, 7, 100)
-
-    def test_flag_not_part_of_identity(self):
-        assert SearchTask(7, 7, 100, constant_mode=True) == SearchTask(
-            7, 7, 100, constant_mode=True
-        )
+        SearchTask(7, 7, 100)
 
     @pytest.mark.parametrize("args", [(2, 7, 100), (9, 7, 100), (7, 2, 100)])
     def test_rejects_non_odd_primes(self, args):
@@ -146,7 +137,7 @@ class TestCheckpointIO:
 
     def test_equal_prime_task_roundtrip(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        task = SearchTask(7, 7, 100, constant_mode=True)
+        task = SearchTask(7, 7, 100)
         save_checkpoint(Checkpoint(task, 2, None, 0, 0.0), path)
         assert load_checkpoint(path).task == task
 
@@ -237,6 +228,15 @@ class TestLoadRejections:
     def test_negative_wall(self, tmp_path):
         self.check(tmp_path, lambda d: d.update(wall_seconds=-0.5), "wall_seconds")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_wall(self, tmp_path, value):
+        # json.dumps writes NaN and Infinity, and json.loads reads them back
+        self.check(tmp_path, lambda d: d.update(wall_seconds=value), "finite")
+        path = str(tmp_path / "saved.json")
+        with pytest.raises(CheckpointError, match="finite"):
+            save_checkpoint(make_checkpoint(wall=value), path)
+        assert not os.path.exists(path)
+
     def test_composite_best_found(self, tmp_path):
         self.check(tmp_path, lambda d: d.update(best_found=406509), "odd prime")
 
@@ -308,7 +308,7 @@ class TestRunSearch:
         assert result.checkpoint.next_multiplier == 2
 
     def test_constant_mode(self):
-        result = run_search(SearchTask(7, 7, 100, constant_mode=True))
+        result = run_search(SearchTask(7, 7, 100))
         assert result.prime == 7
 
     def test_pool_matches_serial(self):
@@ -327,7 +327,7 @@ class TestRunSearch:
             c = rng.choice(primes)
             p = rng.choice(primes)
             bound = rng.randrange(max(10, c - p), 20_000)
-            task = SearchTask(c, p, bound, shard_width=128, constant_mode=c == p)
+            task = SearchTask(c, p, bound, shard_width=128)
             assert run_search(task).prime == oracles.reversed_step_scan(p, c, bound)
 
     def test_rejects_bad_workers(self):
