@@ -41,8 +41,6 @@ EXIT_EXHAUSTED = 3
 EXIT_MISMATCH = 4
 EXIT_INTERRUPTED = 130
 
-WORKERS_ENV = "PFIB_WORKERS"
-
 # what every cmd_* returns: (exit_code, inputs, result, plain_text)
 _Outcome = tuple[int, dict, dict, str]
 
@@ -96,20 +94,11 @@ def _parse_odd_prime(text: str) -> int:
 
 
 def _resolve_workers(cli_value: int | None) -> int:
-    if cli_value is not None:
-        if cli_value < 1:
-            raise ValueError(f"workers must be positive, got {cli_value}")
-        return cli_value
-    env = os.environ.get(WORKERS_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"{WORKERS_ENV} must be positive, got {env!r}")
-        return value
-    return os.cpu_count() or 1
+    if cli_value is None:
+        return os.cpu_count() or 1
+    if cli_value < 1:
+        raise ValueError(f"workers must be positive, got {cli_value}")
+    return cli_value
 
 
 def _forward_suffix(seq) -> str:

@@ -15,14 +15,14 @@ shard never starts a process pool.
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 import time
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
 
 from .arith import ensure_odd_prime, is_prime, sieve_primes, smallest_odd_prime_divisor
@@ -50,6 +50,10 @@ class CheckpointError(Exception):
     """Raised for unreadable, inconsistent, or mismatched checkpoints."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SearchTask:
     """Immutable description of one reversed-step search.
@@ -68,6 +72,10 @@ class SearchTask:
     def __post_init__(self):
         ensure_odd_prime(self.constraint_prime)
         ensure_odd_prime(self.partner)
+        if not _is_int(self.bound):
+            raise ValueError(f"bound must be an integer, got {self.bound!r}")
+        if not _is_int(self.shard_width):
+            raise ValueError(f"shard_width must be an integer, got {self.shard_width!r}")
         if self.shard_width < 1:
             raise ValueError(f"shard_width must be positive, got {self.shard_width}")
         if self.bound < self.constraint_prime - self.partner:
@@ -79,12 +87,15 @@ class SearchTask:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable search state.
+    """Resumable search state; its fields are also the checkpoint file format.
 
     next_multiplier is the smallest even multiplier not yet fully processed;
-    everything below it has been exhaustively tested.  best_found, when set,
-    is the search's answer (it arose from a multiplier below next_multiplier
-    and all smaller multipliers are done, so it is the global minimum).
+    everything below it has been exhaustively tested, and it lies at most one
+    even step past the task's multiplier limit.  best_found, when set, is the
+    search's answer (it arose from a multiplier below next_multiplier and all
+    smaller multipliers are done, so it is the global minimum).  `validate`
+    holds every rule on these values, for a checkpoint read from a file and
+    one built in memory alike.
     """
 
     task: SearchTask
@@ -94,28 +105,39 @@ class Checkpoint:
     wall_seconds: float
 
     def validate(self) -> None:
-        if self.next_multiplier < 2 or self.next_multiplier % 2 != 0:
+        next_m, best, wall = self.next_multiplier, self.best_found, self.wall_seconds
+        if not _is_int(next_m):
+            raise CheckpointError(f"next_multiplier must be an integer, got {next_m!r}")
+        if not _is_int(self.shards_done):
             raise CheckpointError(
-                f"next_multiplier must be even and >= 2, got {self.next_multiplier}"
+                f"shards_done must be an integer, got {self.shards_done!r}"
+            )
+        if best is not None and not _is_int(best):
+            raise CheckpointError(f"best_found must be an integer or null, got {best!r}")
+        if not (_is_int(wall) or isinstance(wall, float)):
+            raise CheckpointError(f"wall_seconds must be a number, got {wall!r}")
+        task = self.task
+        limit = multiplier_limit(task.constraint_prime, task.partner, task.bound)
+        if next_m < 2 or next_m % 2 != 0:
+            raise CheckpointError(f"next_multiplier must be even and >= 2, got {next_m}")
+        if next_m > _even_ceil(limit + 1):
+            raise CheckpointError(
+                f"next_multiplier {next_m} beyond the task's multiplier limit {limit}"
             )
         if self.shards_done < 0:
             raise CheckpointError(f"negative shards_done {self.shards_done}")
-        if not math.isfinite(self.wall_seconds) or self.wall_seconds < 0:
-            raise CheckpointError(
-                f"non-finite or negative wall_seconds {self.wall_seconds}"
-            )
-        best = self.best_found
+        # one range test refuses NaN, infinities, negatives and huge integers
+        if not 0 <= wall <= sys.float_info.max:
+            raise CheckpointError(f"non-finite or negative wall_seconds {wall}")
         if best is None:
             return
-        task = self.task
         if best < 3 or best % 2 == 0 or not is_prime(best):
             raise CheckpointError(f"best_found {best} is not an odd prime")
         total = task.partner + best
         m, rem = divmod(total, task.constraint_prime)
-        if rem or m % 2 or m >= self.next_multiplier:
+        if rem or m % 2 or m >= next_m:
             raise CheckpointError(
-                f"best_found {best} inconsistent with next_multiplier "
-                f"{self.next_multiplier}"
+                f"best_found {best} inconsistent with next_multiplier {next_m}"
             )
         if smallest_odd_prime_divisor(total) != task.constraint_prime:
             raise CheckpointError(
@@ -192,20 +214,7 @@ def scan_multiplier_range(
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Atomically write a checkpoint (temp file + rename, same directory)."""
     checkpoint.validate()
-    task = checkpoint.task
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "task": {
-            "constraint_prime": task.constraint_prime,
-            "partner": task.partner,
-            "bound": task.bound,
-            "shard_width": task.shard_width,
-        },
-        "next_multiplier": checkpoint.next_multiplier,
-        "best_found": checkpoint.best_found,
-        "shards_done": checkpoint.shards_done,
-        "wall_seconds": checkpoint.wall_seconds,
-    }
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **asdict(checkpoint)}
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as handle:
         json.dump(doc, handle)
@@ -214,65 +223,37 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     os.replace(tmp, path)
 
 
-_TASK_FIELDS = {"constraint_prime", "partner", "bound", "shard_width"}
-_DOC_FIELDS = {
-    "format_version",
-    "task",
-    "next_multiplier",
-    "best_found",
-    "shards_done",
-    "wall_seconds",
-}
+def _field_names(cls) -> set[str]:
+    return {field.name for field in fields(cls)}
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read and validate a checkpoint; refuse anything malformed."""
-    with open(path, "r", encoding="ascii") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError, non-ASCII bytes and integers
+        # longer than the interpreter's int-string limit
+        doc = json.loads(data.decode("ascii"))
+    except ValueError as exc:
         raise CheckpointError(f"{path}: not valid checkpoint JSON ({exc})") from exc
-    if not isinstance(doc, dict) or set(doc) != _DOC_FIELDS:
+    doc_fields = _field_names(Checkpoint) | {"format_version"}
+    if not isinstance(doc, dict) or set(doc) != doc_fields:
         raise CheckpointError(f"{path}: unexpected document fields")
-    if doc["format_version"] != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported format_version {doc['format_version']!r}"
-        )
-    raw_task = doc["task"]
-    if not isinstance(raw_task, dict) or set(raw_task) != _TASK_FIELDS:
+    version = doc.pop("format_version")
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format_version {version!r}")
+    raw_task = doc.pop("task")
+    if not isinstance(raw_task, dict) or set(raw_task) != _field_names(SearchTask):
         raise CheckpointError(f"{path}: unexpected task fields")
-    for key in _TASK_FIELDS:
-        if not isinstance(raw_task[key], int) or isinstance(raw_task[key], bool):
-            raise CheckpointError(f"{path}: task field {key} must be an integer")
-    for key in ("next_multiplier", "shards_done"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise CheckpointError(f"{path}: field {key} must be an integer")
-    if doc["best_found"] is not None and (
-        not isinstance(doc["best_found"], int) or isinstance(doc["best_found"], bool)
-    ):
-        raise CheckpointError(f"{path}: best_found must be an integer or null")
-    if not isinstance(doc["wall_seconds"], (int, float)) or isinstance(
-        doc["wall_seconds"], bool
-    ):
-        raise CheckpointError(f"{path}: wall_seconds must be a number")
     try:
-        task = SearchTask(
-            raw_task["constraint_prime"],
-            raw_task["partner"],
-            raw_task["bound"],
-            raw_task["shard_width"],
-        )
+        checkpoint = Checkpoint(task=SearchTask(**raw_task), **doc)
     except ValueError as exc:
         raise CheckpointError(f"{path}: invalid task ({exc})") from exc
-    checkpoint = Checkpoint(
-        task=task,
-        next_multiplier=doc["next_multiplier"],
-        best_found=doc["best_found"],
-        shards_done=doc["shards_done"],
-        wall_seconds=float(doc["wall_seconds"]),
-    )
-    checkpoint.validate()
+    try:
+        checkpoint.validate()
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     return checkpoint
 
 

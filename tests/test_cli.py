@@ -236,6 +236,27 @@ class TestReversedCommand:
         assert code == 2 and err.startswith("error:")
         assert path.read_text() == '{"format_version": 1}'
 
+    def test_checkpoint_past_task_range_is_refused(self, run_cli, tmp_path):
+        # the step 439, 7 -> 406507 has multiplier limit 22779; a file that
+        # claims multipliers up to 10**6 are done would skip the answer
+        path = tmp_path / "state.json"
+        text = json.dumps({
+            "format_version": 1,
+            "task": {
+                "constraint_prime": 439, "partner": 7,
+                "bound": 10**7, "shard_width": 65536,
+            },
+            "next_multiplier": 10**6, "best_found": None,
+            "shards_done": 16, "wall_seconds": 0.5,
+        })
+        path.write_text(text)
+        code, _, err = run_cli(
+            "reversed", "3", "5", "--terms", "15", "--checkpoint", str(path)
+        )
+        assert code == 2 and err.startswith("error:")
+        assert str(path) in err and "multiplier limit" in err
+        assert path.read_text() == text
+
     def test_checkpoint_in_missing_directory(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "state.json"
         code, _, err = run_cli(
@@ -256,35 +277,12 @@ class TestReversedCommand:
         assert [json.loads(line)["value"] for line in out.splitlines()] == ["3"]
 
 class TestWorkerResolution:
-    def test_env_variable_used(self, run_cli, monkeypatch):
-        monkeypatch.setenv("PFIB_WORKERS", "3")
-        _, out, _ = run_cli(
-            "reversed", "3", "5", "--terms", "2", "--format", "records"
-        )
-        assert records(out)[-1]["inputs"]["workers"] == "3"
-
-    def test_cli_overrides_env(self, run_cli, monkeypatch):
-        monkeypatch.setenv("PFIB_WORKERS", "7")
-        _, out, _ = run_cli(
-            "reversed", "3", "5", "--terms", "2", "--workers", "2",
-            "--format", "records",
-        )
-        assert records(out)[-1]["inputs"]["workers"] == "2"
-
     def test_default_is_cpu_count(self, run_cli, monkeypatch):
-        monkeypatch.delenv("PFIB_WORKERS", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: 5)
         _, out, _ = run_cli(
             "reversed", "3", "5", "--terms", "2", "--format", "records"
         )
         assert records(out)[-1]["inputs"]["workers"] == "5"
-
-    @pytest.mark.parametrize("value", ["0", "-2", "many"])
-    def test_rejects_bad_env(self, run_cli, monkeypatch, value):
-        monkeypatch.setenv("PFIB_WORKERS", value)
-        code, _, err = run_cli("reversed", "3", "5", "--terms", "2")
-        assert code == 2
-        assert "PFIB_WORKERS" in err
 
 
 class TestGreenTaoCommand:

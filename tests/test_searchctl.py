@@ -53,6 +53,11 @@ class TestSearchTask:
         with pytest.raises(ValueError, match="shard_width"):
             SearchTask(3, 5, 100, shard_width=0)
 
+    @pytest.mark.parametrize("args", [(3, 5, "100"), (3, 5, 100, True)])
+    def test_rejects_non_integer_fields(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchTask(*args)
+
 
 class TestMultiplierLimit:
     @pytest.mark.parametrize("c,p,bound,expected", [
@@ -147,6 +152,25 @@ class TestCheckpointIO:
             save_checkpoint(make_checkpoint(next_multiplier=101), path)
         assert not os.path.exists(path)
 
+    def test_save_refuses_wrong_types(self, tmp_path):
+        path = str(tmp_path / "cp.json")
+        task = SearchTask(439, 7, 10**6, shard_width=64)
+        with pytest.raises(CheckpointError, match="must be an integer"):
+            save_checkpoint(Checkpoint(task, "100", None, 2, 1.5), path)
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("bound", [2 * 10**9, 406507 * 4918 - 67])
+    def test_exhausted_roundtrip(self, tmp_path, bound):
+        # multiplier limits 4919 and 4918: exhaustion sits exactly at the
+        # range check's ceiling for an odd and an even limit
+        task = SearchTask(406507, 67, bound)
+        limit = multiplier_limit(406507, 67, bound)
+        checkpoint = run_search(task).checkpoint
+        assert checkpoint.next_multiplier == limit + 1 + (limit + 1) % 2
+        path = str(tmp_path / "cp.json")
+        save_checkpoint(checkpoint, path)
+        assert load_checkpoint(path) == checkpoint
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "nope.json"))
@@ -225,6 +249,19 @@ class TestLoadRejections:
     def test_negative_shards(self, tmp_path):
         self.check(tmp_path, lambda d: d.update(shards_done=-1), "shards_done")
 
+    def test_huge_integer_wall(self, tmp_path):
+        self.check(tmp_path, lambda d: d.update(wall_seconds=10**400), "finite")
+
+    def test_next_multiplier_past_range(self, tmp_path):
+        # the task's multiplier limit is (10**6 + 7) // 439 = 2277, so an
+        # exhausted search stops at 2278
+        self.check(
+            tmp_path, lambda d: d.update(next_multiplier=2280), "multiplier limit"
+        )
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({**_valid_doc(), "next_multiplier": 2278}))
+        assert load_checkpoint(str(path)).next_multiplier == 2278
+
     def test_negative_wall(self, tmp_path):
         self.check(tmp_path, lambda d: d.update(wall_seconds=-0.5), "wall_seconds")
 
@@ -274,6 +311,17 @@ class TestLoadRejections:
         path.write_text("{not json")
         with pytest.raises(CheckpointError, match="not valid checkpoint JSON"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("old,new", [
+        ("1.5", "1" * 5000),  # past the int-string limit: a plain ValueError
+        ("null", '"\u00e9"'),
+    ], ids=["int_past_str_limit", "non_ascii"])
+    def test_decode_error_names_the_path(self, tmp_path, old, new):
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps(_valid_doc()).replace(old, new), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="not valid checkpoint JSON") as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
 
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -338,6 +386,11 @@ class TestRunSearch:
         checkpoint = run_search(SearchTask(3, 5, 100)).checkpoint
         with pytest.raises(CheckpointError, match="different task"):
             run_search(SearchTask(3, 5, 200), resume_from=checkpoint)
+
+    def test_resume_refuses_wrong_types(self):
+        task = SearchTask(439, 7, 10**6)
+        with pytest.raises(CheckpointError, match="must be an integer"):
+            run_search(task, resume_from=Checkpoint(task, 100, None, None, 1.5))
 
     def test_resume_with_answer_is_instant(self):
         done = run_search(SearchTask(439, 7, 10**6))
