@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_SHARD_WIDTH = 1 << 16
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 # Seconds between checkpoint writes while waiting on the process pool.
 _CHECKPOINT_INTERVAL = 30.0
 
@@ -54,35 +54,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _show(value) -> str:
+    """repr for an error message; an integer past the int-string limit by size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an {value.bit_length()}-bit integer"
+
+
 @dataclass(frozen=True)
 class SearchTask:
-    """Immutable description of one reversed-step search.
+    """Immutable description of one reversed-step search: what is searched.
 
     `constraint_prime` is the prime whose minimality must hold (the divisor),
     `partner` the known neighbour term, `bound` the inclusive candidate
-    ceiling, `shard_width` the multiplier-range width of one work unit.
-    Equal primes describe a constant extension.
+    ceiling.  Equal primes describe a constant extension; a bound below the
+    constraint-partner gap leaves no multiplier, so its search exhausts at once.
     """
 
     constraint_prime: int
     partner: int
     bound: int
-    shard_width: int = DEFAULT_SHARD_WIDTH
 
     def __post_init__(self):
         ensure_odd_prime(self.constraint_prime)
         ensure_odd_prime(self.partner)
-        if not _is_int(self.bound):
-            raise ValueError(f"bound must be an integer, got {self.bound!r}")
-        if not _is_int(self.shard_width):
-            raise ValueError(f"shard_width must be an integer, got {self.shard_width!r}")
-        if self.shard_width < 1:
-            raise ValueError(f"shard_width must be positive, got {self.shard_width}")
-        if self.bound < self.constraint_prime - self.partner:
-            raise ValueError(
-                f"bound {self.bound} below constraint-partner gap "
-                f"{self.constraint_prime - self.partner}"
-            )
+        if not _is_int(self.bound) or self.bound < 1:
+            raise ValueError(f"bound must be an integer >= 1, got {_show(self.bound)}")
 
 
 @dataclass(frozen=True)
@@ -119,40 +117,52 @@ class Checkpoint:
         task = self.task
         limit = multiplier_limit(task.constraint_prime, task.partner, task.bound)
         if next_m < 2 or next_m % 2 != 0:
-            raise CheckpointError(f"next_multiplier must be even and >= 2, got {next_m}")
+            raise CheckpointError(
+                f"next_multiplier must be even and >= 2, got {_show(next_m)}"
+            )
         if next_m > _even_ceil(limit + 1):
             raise CheckpointError(
-                f"next_multiplier {next_m} beyond the task's multiplier limit {limit}"
+                f"next_multiplier {_show(next_m)} past multiplier limit {_show(limit)}"
             )
         if self.shards_done < 0:
-            raise CheckpointError(f"negative shards_done {self.shards_done}")
+            raise CheckpointError(f"negative shards_done {_show(self.shards_done)}")
         # one range test refuses NaN, infinities, negatives and huge integers
         if not 0 <= wall <= sys.float_info.max:
-            raise CheckpointError(f"non-finite or negative wall_seconds {wall}")
+            raise CheckpointError(f"non-finite or negative wall_seconds {_show(wall)}")
         if best is None:
             return
         if best < 3 or best % 2 == 0 or not is_prime(best):
-            raise CheckpointError(f"best_found {best} is not an odd prime")
+            raise CheckpointError(f"best_found {_show(best)} is not an odd prime")
         total = task.partner + best
         m, rem = divmod(total, task.constraint_prime)
         if rem or m % 2 or m >= next_m:
             raise CheckpointError(
-                f"best_found {best} inconsistent with next_multiplier {next_m}"
+                f"best_found {_show(best)} inconsistent with next_multiplier "
+                f"{_show(next_m)}"
             )
         if smallest_odd_prime_divisor(total) != task.constraint_prime:
             raise CheckpointError(
-                f"best_found {best} fails the divisor property for "
+                f"best_found {_show(best)} fails the divisor property for "
                 f"constraint {task.constraint_prime}"
             )
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of run_search: a prime, exhaustion, or suspension."""
+    """Outcome of run_search, read from its final checkpoint: a prime,
+    exhaustion (every multiplier up to the task's limit done), or suspension."""
 
-    prime: int | None
-    completed: bool
     checkpoint: Checkpoint
+
+    @property
+    def prime(self) -> int | None:
+        return self.checkpoint.best_found
+
+    @property
+    def completed(self) -> bool:
+        checkpoint, task = self.checkpoint, self.checkpoint.task
+        limit = multiplier_limit(task.constraint_prime, task.partner, task.bound)
+        return checkpoint.best_found is not None or checkpoint.next_multiplier > limit
 
     @property
     def exhausted(self) -> bool:
@@ -283,19 +293,14 @@ def run_search(
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    if resume_from is not None:
-        if resume_from.task != task:
-            raise CheckpointError("checkpoint was written for a different task")
-        resume_from.validate()
-        if resume_from.best_found is not None:
-            return SearchResult(resume_from.best_found, True, resume_from)
-        m_next = resume_from.next_multiplier
-        shards_done = resume_from.shards_done
-        base_wall = resume_from.wall_seconds
-    else:
-        m_next = 2
-        shards_done = 0
-        base_wall = 0.0
+    # a fresh search resumes from the state where nothing is done yet
+    start = Checkpoint(task, 2, None, 0, 0.0) if resume_from is None else resume_from
+    if start.task != task:
+        raise CheckpointError("checkpoint was written for a different task")
+    start.validate()
+    if start.best_found is not None:
+        return SearchResult(start)
+    m_next, shards_done = start.next_multiplier, start.shards_done
     shards_before = shards_done
 
     m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
@@ -307,7 +312,7 @@ def run_search(
             next_multiplier=_even_ceil(next_m),
             best_found=best,
             shards_done=shards_done,
-            wall_seconds=base_wall + (time.monotonic() - started),
+            wall_seconds=start.wall_seconds + (time.monotonic() - started),
         )
 
     def emit(checkpoint: Checkpoint) -> Checkpoint:
@@ -322,7 +327,7 @@ def run_search(
         # its first shard never pays for a pool's start-up
         lo = m_next
         while lo < m_end and (workers == 1 or shards_done == 0):
-            hi = min(lo + task.shard_width, m_end)
+            hi = min(lo + DEFAULT_SHARD_WIDTH, m_end)
             yield hi, scan(lo, hi)
             lo = hi
         if lo >= m_end:
@@ -332,7 +337,7 @@ def run_search(
             pending: deque = deque()
             while lo < m_end or pending:
                 while lo < m_end and len(pending) < workers + 2:
-                    hi = min(lo + task.shard_width, m_end)
+                    hi = min(lo + DEFAULT_SHARD_WIDTH, m_end)
                     pending.append((hi, pool.submit(scan, lo, hi)))
                     lo = hi
                 hi, future = pending.popleft()
@@ -352,12 +357,12 @@ def run_search(
                 shards_done += 1
                 if hit is not None:
                     m_hit = (hit + task.partner) // task.constraint_prime
-                    return SearchResult(hit, True, emit(snapshot(m_hit + 2, hit)))
+                    return SearchResult(emit(snapshot(m_hit + 2, hit)))
                 m_next = _even_ceil(hi)
                 checkpoint = emit(snapshot(m_next, None))
                 if max_shards is not None and shards_done - shards_before >= max_shards:
-                    return SearchResult(None, False, checkpoint)
+                    return SearchResult(checkpoint)
     except KeyboardInterrupt:
         emit(snapshot(m_next, None))
         raise
-    return SearchResult(None, True, emit(snapshot(max(m_next, m_end), None)))
+    return SearchResult(emit(snapshot(max(m_next, m_end), None)))

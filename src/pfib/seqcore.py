@@ -216,13 +216,11 @@ def extend_left_minimal(p1: int, p2: int, bound: int) -> int | None:
     p1 + r, or None when the bound is exhausted.
 
     Runs searchctl's sharded multiplier scan in-process (see
-    scan_multiplier_range for why enumerating multipliers is exact).  With
-    p1 == p2 this returns p1, the constant extension.
+    scan_multiplier_range for why enumerating multipliers is exact); the
+    inputs are checked by SearchTask, which refuses a non-prime and a bound
+    that is not a positive integer.  With p1 == p2 this returns p1, the
+    constant extension.
     """
-    ensure_odd_prime(p1)
-    ensure_odd_prime(p2)
-    if bound < 1:
-        raise ValueError(f"bound must be positive, got {bound}")
     return _search_step(p2, p1, bound, workers=1, checkpoint_path=None)
 
 
@@ -275,10 +273,6 @@ def _search_step(
     workers: int,
     checkpoint_path: str | None,
 ) -> int | None:
-    if bound < constraint - partner:
-        # every candidate constraint*m - partner exceeds the bound; SearchTask
-        # refuses such a task so that checkpoints stay strictly validated
-        return None
     task = SearchTask(constraint, partner, bound)
     resume = None
     step_path = checkpoint_path

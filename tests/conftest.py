@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import pytest
 
@@ -33,6 +34,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def bfile_path() -> str:
     return os.path.join(FIXTURE_DIR, "b255562.txt")
+
+
+@pytest.fixture
+def checkpoint_v1(tmp_path) -> str:
+    """A copy of a format-1 step-16 checkpoint, suspended after one shard."""
+    path = tmp_path / "checkpoint_v1.json"
+    shutil.copy(os.path.join(FIXTURE_DIR, "checkpoint_v1.json"), path)
+    return str(path)
 
 
 @pytest.fixture

@@ -227,16 +227,16 @@ def test_arithmetic_kernel_agrees_with_independent_oracles():
         systems += 1
 
 
-def test_search_results_identical_across_workers_and_resume():
+def test_search_results_identical_across_workers_and_resume(monkeypatch):
     primes = [p for p in sieve_primes(500) if p > 2]
     rng = random.Random(909)
     for trial in range(50):
         constraint = rng.choice(primes)
         partner = rng.choice(primes)
         bound = rng.randrange(max(constraint - partner, 1) + 10, 10**6)
-        task = SearchTask(
-            constraint, partner, bound,
-            shard_width=rng.choice([64, 256, 1024]),
+        task = SearchTask(constraint, partner, bound)
+        monkeypatch.setattr(
+            "pfib.searchctl.DEFAULT_SHARD_WIDTH", rng.choice([64, 256, 1024])
         )
         results = {w: run_search(task, workers=w) for w in (1, 2, 8)}
         reference = results[1]

@@ -241,11 +241,8 @@ class TestReversedCommand:
         # claims multipliers up to 10**6 are done would skip the answer
         path = tmp_path / "state.json"
         text = json.dumps({
-            "format_version": 1,
-            "task": {
-                "constraint_prime": 439, "partner": 7,
-                "bound": 10**7, "shard_width": 65536,
-            },
+            "format_version": 2,
+            "task": {"constraint_prime": 439, "partner": 7, "bound": 10**7},
             "next_multiplier": 10**6, "best_found": None,
             "shards_done": 16, "wall_seconds": 0.5,
         })
@@ -256,6 +253,18 @@ class TestReversedCommand:
         assert code == 2 and err.startswith("error:")
         assert str(path) in err and "multiplier limit" in err
         assert path.read_text() == text
+
+    def test_version_1_checkpoint_is_refused(self, run_cli, checkpoint_v1):
+        with open(checkpoint_v1, "rb") as handle:
+            before = handle.read()
+        code, _, err = run_cli(
+            "reversed", "3", "5", "--terms", "17", "--bound", "1_000_000_000_000",
+            "--checkpoint", checkpoint_v1,
+        )
+        assert code == 2 and err.startswith("error:")
+        assert checkpoint_v1 in err and "unsupported format_version 1" in err
+        with open(checkpoint_v1, "rb") as handle:
+            assert handle.read() == before
 
     def test_checkpoint_in_missing_directory(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "state.json"
@@ -349,8 +358,9 @@ class TestVerifyBfileCommand:
     def test_mismatch(self, run_cli, bfile_path, tmp_path):
         target = tmp_path / "bad.txt"
         lines = []
-        for line in open(bfile_path):
-            lines.append("7 39\n" if line.strip() == "7 37" else line)
+        with open(bfile_path) as handle:
+            for line in handle:
+                lines.append("7 39\n" if line.strip() == "7 37" else line)
         target.write_text("".join(lines))
         code, out, _ = run_cli("verify-bfile", "3", "5", str(target))
         assert code == 4

@@ -34,10 +34,16 @@ def brute_scan(constraint, partner, m_lo, m_hi):
     return None
 
 
+@pytest.fixture
+def narrow_shards(monkeypatch):
+    """Cut the multiplier range into shards of 64, so small tasks take many."""
+    monkeypatch.setattr("pfib.searchctl.DEFAULT_SHARD_WIDTH", 64)
+
+
 class TestSearchTask:
     def test_accepts_valid(self):
         task = SearchTask(439, 7, 10**6)
-        assert task.shard_width == 1 << 16
+        assert dataclasses.astuple(task) == (439, 7, 10**6)
         SearchTask(7, 7, 100)
 
     @pytest.mark.parametrize("args", [(2, 7, 100), (9, 7, 100), (7, 2, 100)])
@@ -45,15 +51,19 @@ class TestSearchTask:
         with pytest.raises(ValueError, match="not an odd prime"):
             SearchTask(*args)
 
-    def test_rejects_bound_below_gap(self):
-        with pytest.raises(ValueError, match="below constraint-partner gap"):
-            SearchTask(439, 7, 100)
+    def test_accepts_bound_below_gap(self):
+        # every candidate 439*m - 7 exceeds 100: exhausted without a shard
+        result = run_search(SearchTask(439, 7, 100))
+        assert result.exhausted
+        assert result.checkpoint.next_multiplier == 2
+        assert result.checkpoint.shards_done == 0
 
-    def test_rejects_bad_shard_width(self):
-        with pytest.raises(ValueError, match="shard_width"):
-            SearchTask(3, 5, 100, shard_width=0)
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_rejects_non_positive_bound(self, bound):
+        with pytest.raises(ValueError, match="bound"):
+            SearchTask(3, 5, bound)
 
-    @pytest.mark.parametrize("args", [(3, 5, "100"), (3, 5, 100, True)])
+    @pytest.mark.parametrize("args", [(3, 5, "100"), (3, 5, True)])
     def test_rejects_non_integer_fields(self, args):
         with pytest.raises(ValueError, match="must be an integer"):
             SearchTask(*args)
@@ -103,7 +113,7 @@ class TestScanMultiplierRange:
 
 
 def make_checkpoint(best=None, next_multiplier=100, shards=2, wall=1.5):
-    task = SearchTask(439, 7, 10**6, shard_width=64)
+    task = SearchTask(439, 7, 10**6)
     return Checkpoint(task, next_multiplier, best, shards, wall)
 
 
@@ -121,13 +131,8 @@ class TestCheckpointIO:
         with open(path) as handle:
             doc = json.load(handle)
         assert doc == {
-            "format_version": 1,
-            "task": {
-                "constraint_prime": 439,
-                "partner": 7,
-                "bound": 10**6,
-                "shard_width": 64,
-            },
+            "format_version": 2,
+            "task": {"constraint_prime": 439, "partner": 7, "bound": 10**6},
             "next_multiplier": 100,
             "best_found": None,
             "shards_done": 2,
@@ -154,10 +159,24 @@ class TestCheckpointIO:
 
     def test_save_refuses_wrong_types(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        task = SearchTask(439, 7, 10**6, shard_width=64)
+        task = SearchTask(439, 7, 10**6)
         with pytest.raises(CheckpointError, match="must be an integer"):
             save_checkpoint(Checkpoint(task, "100", None, 2, 1.5), path)
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("field", [
+        "next_multiplier", "shards_done", "wall_seconds", "best_found",
+    ])
+    def test_refuses_integers_past_str_limit(self, tmp_path, field):
+        # the messages must not format these values digit by digit
+        huge = -10**5000 if field == "shards_done" else 10**5000
+        checkpoint = dataclasses.replace(make_checkpoint(), **{field: huge})
+        path = str(tmp_path / "cp.json")
+        with pytest.raises(CheckpointError, match="bit integer"):
+            save_checkpoint(checkpoint, path)
+        assert not os.path.exists(path)
+        with pytest.raises(CheckpointError, match="bit integer"):
+            run_search(checkpoint.task, resume_from=checkpoint)
 
     @pytest.mark.parametrize("bound", [2 * 10**9, 406507 * 4918 - 67])
     def test_exhausted_roundtrip(self, tmp_path, bound):
@@ -178,13 +197,8 @@ class TestCheckpointIO:
 
 def _valid_doc():
     return {
-        "format_version": 1,
-        "task": {
-            "constraint_prime": 439,
-            "partner": 7,
-            "bound": 10**6,
-            "shard_width": 64,
-        },
+        "format_version": 2,
+        "task": {"constraint_prime": 439, "partner": 7, "bound": 10**6},
         "next_multiplier": 100,
         "best_found": None,
         "shards_done": 2,
@@ -216,12 +230,22 @@ class TestLoadRejections:
         self.check(tmp_path, lambda d: d["task"].update(note="x"), "task fields")
 
     def test_missing_task_field(self, tmp_path):
-        self.check(tmp_path, lambda d: d["task"].pop("shard_width"), "task fields")
+        self.check(tmp_path, lambda d: d["task"].pop("bound"), "task fields")
 
     def test_wrong_format_version(self, tmp_path):
         self.check(
-            tmp_path, lambda d: d.update(format_version=2), "format_version"
+            tmp_path, lambda d: d.update(format_version=1), "format_version"
         )
+
+    def test_version_1_document_is_refused(self, checkpoint_v1):
+        # format 1 carried the shard width in the task; no loader reads it
+        with open(checkpoint_v1, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(CheckpointError, match="unsupported format_version 1") as info:
+            load_checkpoint(checkpoint_v1)
+        assert checkpoint_v1 in str(info.value)
+        with open(checkpoint_v1, "rb") as handle:
+            assert handle.read() == before
 
     def test_bool_masquerading_as_int(self, tmp_path):
         self.check(
@@ -304,7 +328,8 @@ class TestLoadRejections:
         )
 
     def test_bound_below_gap(self, tmp_path):
-        self.check(tmp_path, lambda d: d["task"].update(bound=10), "invalid task")
+        # a bound below the gap is a valid task; a bound below 1 is not
+        self.check(tmp_path, lambda d: d["task"].update(bound=0), "invalid task")
 
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -350,6 +375,12 @@ class TestRunSearch:
         assert result.completed and result.exhausted
         assert result.checkpoint.next_multiplier == 4920
 
+    def test_suspension_at_last_shard_is_exhaustion(self):
+        # one shard of the default width covers multipliers 2..4919
+        result = run_search(SearchTask(406507, 67, 2 * 10**9), max_shards=1)
+        assert result.checkpoint.next_multiplier == 4920
+        assert result.completed and result.exhausted
+
     def test_bound_allowing_no_multiplier(self):
         result = run_search(SearchTask(439, 7, 439))
         assert result.exhausted
@@ -359,23 +390,25 @@ class TestRunSearch:
         result = run_search(SearchTask(7, 7, 100))
         assert result.prime == 7
 
-    def test_pool_matches_serial(self):
+    def test_pool_matches_serial(self, monkeypatch):
+        monkeypatch.setattr("pfib.searchctl.DEFAULT_SHARD_WIDTH", 256)
         for c, p, bound in [(439, 7, 10**6), (3, 5, 100), (406507, 67, 2 * 10**9)]:
-            task = SearchTask(c, p, bound, shard_width=256)
+            task = SearchTask(c, p, bound)
             serial = run_search(task, workers=1)
             pooled = run_search(task, workers=2)
             assert serial.prime == pooled.prime
             assert serial.checkpoint.next_multiplier == pooled.checkpoint.next_multiplier
             assert serial.checkpoint.shards_done == pooled.checkpoint.shards_done
 
-    def test_matches_linear_oracle(self):
+    def test_matches_linear_oracle(self, monkeypatch):
+        monkeypatch.setattr("pfib.searchctl.DEFAULT_SHARD_WIDTH", 128)
         rng = random.Random(20)
         primes = [p for p in oracles.simple_primes(300) if p > 2]
         for _ in range(15):
             c = rng.choice(primes)
             p = rng.choice(primes)
             bound = rng.randrange(max(10, c - p), 20_000)
-            task = SearchTask(c, p, bound, shard_width=128)
+            task = SearchTask(c, p, bound)
             assert run_search(task).prime == oracles.reversed_step_scan(p, c, bound)
 
     def test_rejects_bad_workers(self):
@@ -399,8 +432,9 @@ class TestRunSearch:
         assert again.checkpoint == done.checkpoint
 
 
+@pytest.mark.usefixtures("narrow_shards")
 class TestSuspendResume:
-    TASK = SearchTask(439, 7, 10**6, shard_width=64)
+    TASK = SearchTask(439, 7, 10**6)
 
     def test_full_run_shard_count(self):
         # the hit at multiplier 926 sits in the 15th shard of width 64
@@ -505,15 +539,16 @@ class TestPoolStart:
         assert resumed.checkpoint.shards_done == 13
         assert pools == [suspended.checkpoint.next_multiplier]
 
-    def test_suspension_after_first_shard_builds_no_pool(self, pools):
-        task = SearchTask(439, 7, 10**6, shard_width=64)
+    def test_suspension_after_first_shard_builds_no_pool(self, pools, narrow_shards):
+        task = SearchTask(439, 7, 10**6)
         assert not run_search(task, workers=2, max_shards=1).completed
         assert pools == []
 
 
 class TestResultInvariants:
-    def test_hit_checkpoint_is_self_consistent(self):
-        result = run_search(SearchTask(439, 7, 10**6, shard_width=512))
+    def test_hit_checkpoint_is_self_consistent(self, monkeypatch):
+        monkeypatch.setattr("pfib.searchctl.DEFAULT_SHARD_WIDTH", 512)
+        result = run_search(SearchTask(439, 7, 10**6))
         checkpoint = result.checkpoint
         checkpoint.validate()
         clone = dataclasses.replace(checkpoint, wall_seconds=0.0)

@@ -251,6 +251,29 @@ class TestGenerateReversedCheckpoints:
         assert seq.at_index == 15
         assert not os.path.exists(path)
 
+    def test_checkpoint_from_narrower_shards_resumed(self, tmp_path, monkeypatch):
+        # the shard width is no part of the task: a step-16 file suspended at
+        # width 64 is the same step's state at any width
+        path = str(tmp_path / "state.json")
+        task = searchctl.SearchTask(406507, 67, self.BOUND)
+        with monkeypatch.context() as narrow:
+            narrow.setattr(searchctl, "DEFAULT_SHARD_WIDTH", 64)
+            suspended = searchctl.run_search(task, checkpoint_path=path, max_shards=10)
+        assert searchctl.load_checkpoint(path).next_multiplier == 2 + 64 * 10
+        resumed = []
+        real_run_search = searchctl.run_search
+
+        def recording_run_search(task, resume_from=None, **kwargs):
+            resumed.append(resume_from)
+            return real_run_search(task, resume_from, **kwargs)
+
+        monkeypatch.setattr(searchctl, "run_search", recording_run_search)
+        seq = generate_reversed(Seed(3, 5), 16, self.BOUND, checkpoint_path=path)
+        assert seq.terms == A255562
+        assert seq.status is ReversedStatus.BOUND_EXHAUSTED
+        assert resumed[-1] == suspended.checkpoint
+        assert not os.path.exists(path)
+
     def test_foreign_checkpoint_left_alone(self, tmp_path):
         # a checkpoint for a task matching no step of this run must survive
         # untouched; (101, 3) never appears as a neighbouring pair here
