@@ -120,10 +120,18 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
+def _show(value) -> str:
+    """repr for an error message; an integer past the int-string limit by size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an {value.bit_length()}-bit integer"
+
+
 def ensure_odd_prime(n: int) -> int:
     """Return n if it is an odd prime, else raise ValueError naming it."""
     if not isinstance(n, int) or n < 3 or not is_prime(n):
-        raise ValueError(f"{n} is not an odd prime")
+        raise ValueError(f"{_show(n)} is not an odd prime")
     return n
 
 

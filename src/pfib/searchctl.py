@@ -4,12 +4,13 @@ A reversed-step search asks for the least odd prime r, up to a bound, such
 that `constraint_prime` is the smallest odd prime divisor of `partner + r`.
 Every valid r has the form constraint*m - partner with m even and the odd
 part of m free of prime factors below the constraint, so the scan enumerates
-multipliers m instead of candidates r.  Shards are contiguous multiplier
-ranges; they may run in parallel but are finalized strictly in multiplier
-order, so a hit is only accepted once every lower shard has completed and the
-result is bit-identical for any worker count.  Every minimal left extension
-in the package runs through `run_search`; a search that settles in its first
-shard never starts a process pool.
+multipliers m instead of candidates r, from the least one giving r >= 3.
+Shards are contiguous multiplier ranges that share O(log) cached lists of
+sieving primes; they may run in parallel but are finalized strictly in
+multiplier order, so a hit is only accepted once every lower shard has
+completed and the result is bit-identical for any worker count.  Every
+minimal left extension in the package runs through `run_search`; a search
+that settles in its first shard never starts a process pool.
 """
 
 from __future__ import annotations
@@ -18,14 +19,22 @@ import json
 import os
 import sys
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
+from itertools import islice
 
-from .arith import ensure_odd_prime, is_prime, sieve_primes, smallest_odd_prime_divisor
+from .arith import (
+    _show,
+    ensure_odd_prime,
+    is_prime,
+    sieve_primes,
+    smallest_odd_prime_divisor,
+)
 
 __all__ = [
     "Checkpoint",
@@ -52,14 +61,6 @@ class CheckpointError(Exception):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _show(value) -> str:
-    """repr for an error message; an integer past the int-string limit by size."""
-    try:
-        return repr(value)
-    except ValueError:
-        return f"an {value.bit_length()}-bit integer"
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,11 @@ def multiplier_limit(constraint: int, partner: int, bound: int) -> int:
     return (bound + partner) // constraint
 
 
+def _least_multiplier(constraint: int, partner: int) -> int:
+    # least m with constraint*m - partner >= 3, the least odd prime
+    return (partner + 3 + constraint - 1) // constraint
+
+
 @lru_cache(maxsize=64)
 def _odd_sieve_primes(limit: int) -> tuple[int, ...]:
     if limit < 3:
@@ -196,16 +202,17 @@ def scan_multiplier_range(
         return None
     j_lo = (m_lo + 1) // 2  # m = 2j
     j_hi = (m_hi + 1) // 2
-    # candidates below 3 can never be odd primes; skip their multipliers
-    min_m = (3 + partner + constraint - 1) // constraint
-    j_lo = max(j_lo, (min_m + 1) // 2, 1)
+    j_lo = max(j_lo, (_least_multiplier(constraint, partner) + 1) // 2, 1)
     if j_lo >= j_hi:
         return None
-    # odd primes dividing m are exactly those dividing j
-    primes = _odd_sieve_primes(min(constraint - 1, j_hi - 1))
+    # odd primes dividing m = 2j divide j, so they lie below j_hi.  A limit
+    # of 2**k - 1 >= j_hi - 2 (2**k is no odd prime) covers them and lets the
+    # shards of a search share O(log) cached prime lists.
+    limit = min(constraint - 1, (1 << (j_hi - 2).bit_length()) - 1)
+    primes = _odd_sieve_primes(limit)
     width = j_hi - j_lo
     flags = bytearray(b"\x01") * width
-    for q in primes:
+    for q in islice(primes, bisect_left(primes, j_hi)):
         start = ((j_lo + q - 1) // q) * q
         i0 = start - j_lo
         if i0 < width:
@@ -281,28 +288,33 @@ def run_search(
 ) -> SearchResult:
     """Run one bounded reversed-step search to a result or suspension.
 
-    Shards are finalized in multiplier order, so the first hit is the least
-    valid candidate and the outcome does not depend on `workers`.  Shards run
-    in-process until the search outlives its first shard (a resumed
-    checkpoint's shards count); after that, with `workers` > 1, the remaining
-    shards go to a process pool of that size.  With a
-    `checkpoint_path`, state is written after every finalized shard and on a
-    30 s timer while waiting; `max_shards` suspends the run after that many shards
-    (the deterministic stand-in for killing the process).  Resuming with a
-    checkpoint for a different task raises CheckpointError.
+    The search starts at its least multiplier (so does a checkpoint below
+    it), and its shards share their sieving primes.  Shards are finalized in
+    multiplier order, so the first hit is the least valid candidate and the
+    outcome does not depend on `workers`.  Shards run in-process until the
+    search outlives its first shard (a resumed checkpoint's shards count);
+    after that, with `workers` > 1, the remaining shards go to a process pool
+    of that size.  With a `checkpoint_path`, state is written after every
+    finalized shard and on a 30 s timer while waiting; `max_shards` suspends
+    the run after that many shards, 0 before any (the deterministic stand-in
+    for killing the process).  Resuming with a checkpoint for a different
+    task raises CheckpointError.
     """
     if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+        raise ValueError(f"workers must be positive, got {_show(workers)}")
+    if max_shards is not None and max_shards < 0:
+        raise ValueError(f"max_shards must be >= 0, got {_show(max_shards)}")
     # a fresh search resumes from the state where nothing is done yet
     start = Checkpoint(task, 2, None, 0, 0.0) if resume_from is None else resume_from
     if start.task != task:
         raise CheckpointError("checkpoint was written for a different task")
     start.validate()
-    if start.best_found is not None:
+    if start.best_found is not None or max_shards == 0:
         return SearchResult(start)
-    m_next, shards_done = start.next_multiplier, start.shards_done
-    shards_before = shards_done
+    shards_done = shards_before = start.shards_done
 
+    m0 = _least_multiplier(task.constraint_prime, task.partner)
+    m_next = max(start.next_multiplier, _even_ceil(m0))
     m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
     started = time.monotonic()
 

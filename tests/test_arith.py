@@ -98,7 +98,7 @@ class TestEnsureOddPrime:
 
     @pytest.mark.parametrize("n", [2, 1, 0, -3, 9, 15])
     def test_rejects(self, n):
-        with pytest.raises(ValueError, match="not an odd prime"):
+        with pytest.raises(ValueError, match=f"^{n} is not an odd prime"):
             ensure_odd_prime(n)
 
 

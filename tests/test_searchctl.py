@@ -7,11 +7,14 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 import oracles
+from pfib import searchctl
+from pfib.arith import sieve_primes
 from pfib.searchctl import (
     DEFAULT_SHARD_WIDTH,
     Checkpoint,
     CheckpointError,
     SearchTask,
+    _odd_sieve_primes,
     load_checkpoint,
     multiplier_limit,
     run_search,
@@ -50,6 +53,10 @@ class TestSearchTask:
     def test_rejects_non_odd_primes(self, args):
         with pytest.raises(ValueError, match="not an odd prime"):
             SearchTask(*args)
+
+    def test_huge_prime_argument_named_by_size(self):
+        with pytest.raises(ValueError, match="16610-bit integer is not an odd prime"):
+            SearchTask(-(10**5000), 3, 10)
 
     def test_accepts_bound_below_gap(self):
         # every candidate 439*m - 7 exceeds 100: exhausted without a shard
@@ -414,6 +421,52 @@ class TestRunSearch:
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="workers"):
             run_search(SearchTask(3, 5, 100), workers=0)
+
+    def test_huge_workers_named_by_size(self):
+        with pytest.raises(ValueError, match="workers must be positive, got an 16610-bit"):
+            run_search(SearchTask(3, 5, 100), workers=-(10**5000))
+
+    def test_starts_at_least_multiplier(self):
+        # step 17 of A255562: no candidate below multiplier 4933065588
+        task = SearchTask(67, 330515394367, 2 * 10**13)
+        result = run_search(task)
+        assert result.prime == 967
+        assert result.checkpoint.shards_done == 1
+        # a checkpoint below the least multiplier resumes there
+        resumed = run_search(task, resume_from=Checkpoint(task, 2, None, 0, 0.0))
+        assert resumed.prime == 967
+        assert resumed.checkpoint.shards_done == 1
+
+    def test_shards_share_sieving_primes(self, monkeypatch):
+        # step 16's 13 shards sieve 5 prime lists, not one per shard
+        calls = []
+
+        def counting_sieve(limit):
+            calls.append(limit)
+            return sieve_primes(limit)
+
+        _odd_sieve_primes.cache_clear()
+        monkeypatch.setattr(searchctl, "sieve_primes", counting_sieve)
+        result = run_search(SearchTask(406507, 67, 10**12))
+        assert result.prime == 330515394367
+        assert result.checkpoint.shards_done == 13
+        assert len(calls) <= 5
+
+    def test_max_shards_zero_returns_start(self, tmp_path):
+        task = SearchTask(439, 7, 10**6)
+        path = str(tmp_path / "cp.json")
+        result = run_search(task, checkpoint_path=path, max_shards=0)
+        assert result.checkpoint == Checkpoint(task, 2, None, 0, 0.0)
+        assert not result.completed
+        assert not os.path.exists(path)
+        suspended = run_search(task, max_shards=2)
+        again = run_search(task, resume_from=suspended.checkpoint, max_shards=0)
+        assert again.checkpoint == suspended.checkpoint
+
+    @pytest.mark.parametrize("max_shards", [-1, -(10**5000)], ids=["one", "huge"])
+    def test_rejects_negative_max_shards(self, max_shards):
+        with pytest.raises(ValueError, match="max_shards must be >= 0"):
+            run_search(SearchTask(439, 7, 10**6), max_shards=max_shards)
 
     def test_resume_task_mismatch(self):
         checkpoint = run_search(SearchTask(3, 5, 100)).checkpoint

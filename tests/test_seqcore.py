@@ -195,6 +195,14 @@ class TestGenerateReversed:
         assert seq.at_index == 15
         assert seq.bound == 10**6
 
+    def test_terms_past_the_bfile(self):
+        # a16..a19: steps 17 and 19 start at multipliers near 4.9e9 and 1.1e10,
+        # and step 18's constraint a16 is past the 2**32 sieve ceiling, so its
+        # sieve limit must stay bounded by the shard as well
+        seq = generate_reversed(Seed(3, 5), 19, 2 * 10**13, workers=1)
+        assert seq.terms == A255562 + (330515394367, 967, 10576492618777, 116041)
+        assert seq.status is ReversedStatus.COMPLETE
+
     @pytest.mark.parametrize("bound", [10**8, 2 * 10**8])
     def test_bound_below_gap_is_exhaustion(self, bound):
         # the third term would need 999999937 to divide 3 + r, so r > 999999934
