@@ -138,14 +138,14 @@ def ensure_odd_prime(n: int) -> int:
 def is_power_of_two(n: int) -> bool:
     """True when n = 2**k for some k >= 0.  Rejects n < 1."""
     if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+        raise ValueError(f"expected a positive integer, got {_show(n)}")
     return n & (n - 1) == 0
 
 
 def odd_part(n: int) -> int:
     """n with all factors of two removed."""
     if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+        raise ValueError(f"expected a positive integer, got {_show(n)}")
     return n >> ((n & -n).bit_length() - 1)
 
 
@@ -162,7 +162,7 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
     `factorize` so the function stays total.
     """
     if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+        raise ValueError(f"expected a positive integer, got {_show(n)}")
     u = odd_part(n)
     if u == 1:
         return None
@@ -258,7 +258,7 @@ def factorize(n: int) -> list[int]:
     cofactor survives.
     """
     if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
+        raise ValueError(f"expected a positive integer, got {_show(n)}")
     factors: list[int] = []
     for p in _trial_primes():
         if p * p > n:

@@ -5,6 +5,10 @@ that `constraint_prime` is the smallest odd prime divisor of `partner + r`.
 Every valid r has the form constraint*m - partner with m even and the odd
 part of m free of prime factors below the constraint, so the scan enumerates
 multipliers m instead of candidates r, from the least one giving r >= 3.
+Below twice the constraint that odd part is smaller than the constraint,
+so only powers of two can be valid; above it, a sieve to sqrt(m/2) leaves
+odd parts that are 1 or prime, and a prime one is valid iff it is at least
+the constraint.
 Shards are contiguous multiplier ranges that share O(log) cached lists of
 sieving primes; they may run in parallel but are finalized strictly in
 multiplier order, so a hit is only accepted once every lower shard has
@@ -19,19 +23,19 @@ import json
 import os
 import sys
 import time
-from bisect import bisect_left
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
-from itertools import islice
+from math import isqrt
 
 from .arith import (
     _show,
     ensure_odd_prime,
     is_prime,
+    odd_part,
     sieve_primes,
     smallest_odd_prime_divisor,
 )
@@ -141,10 +145,20 @@ class Checkpoint:
                 f"best_found {_show(best)} inconsistent with next_multiplier "
                 f"{_show(next_m)}"
             )
-        if smallest_odd_prime_divisor(total) != task.constraint_prime:
+        # c | total, so c is its smallest odd prime divisor iff the odd part
+        # u of m = total/c is 1 or free of primes below c: below c**2 that
+        # means u is prime, which needs no factorization
+        c, u = task.constraint_prime, odd_part(m)
+        if u < c:
+            valid = u == 1
+        elif u < c * c:
+            valid = is_prime(u)
+        else:
+            valid = smallest_odd_prime_divisor(u) >= c
+        if not valid:
             raise CheckpointError(
                 f"best_found {_show(best)} fails the divisor property for "
-                f"constraint {task.constraint_prime}"
+                f"constraint {c}"
             )
 
 
@@ -197,33 +211,42 @@ def scan_multiplier_range(
     divides m (any such prime would divide partner + r and beat the
     constraint as smallest odd prime divisor; conversely every valid r yields
     such an m, so the enumeration is exact and ascending in r).
+
+    With m = 2j and u the odd part of j: below the constraint u is too, so
+    only u = 1, a power of two j, can be valid.  From the constraint on, j
+    is sieved by the odd primes up to min(constraint - 1, 2**k - 1) >=
+    isqrt(j), and a composite u <= j has a prime factor <= isqrt(j); so a
+    survivor's u is 1 or a prime, valid iff u == 1 or u >= constraint.
     """
-    if m_hi <= m_lo:
-        return None
-    j_lo = (m_lo + 1) // 2  # m = 2j
-    j_hi = (m_hi + 1) // 2
-    j_lo = max(j_lo, (_least_multiplier(constraint, partner) + 1) // 2, 1)
+    j_lo = max((m_lo + 1) // 2, (_least_multiplier(constraint, partner) + 1) // 2, 1)
+    j_hi = (m_hi + 1) // 2  # m = 2j; j_lo keeps every r >= 3
+    two_c = 2 * constraint
+    j, j_end = 1 << (j_lo - 1).bit_length(), min(j_hi, constraint)
+    while j < j_end:
+        r = two_c * j - partner
+        if is_prime(r):
+            return r
+        j <<= 1
+    j_lo = max(j_lo, constraint)
     if j_lo >= j_hi:
         return None
-    # odd primes dividing m = 2j divide j, so they lie below j_hi.  A limit
-    # of 2**k - 1 >= j_hi - 2 (2**k is no odd prime) covers them and lets the
-    # shards of a search share O(log) cached prime lists.
-    limit = min(constraint - 1, (1 << (j_hi - 2).bit_length()) - 1)
-    primes = _odd_sieve_primes(limit)
+    # rounding the limit up to 2**k - 1 lets the shards of a search share
+    # O(log) cached prime lists, and keeps it below 2**32 until j nears 2**64
+    limit = min(constraint - 1, (1 << isqrt(j_hi - 1).bit_length()) - 1)
     width = j_hi - j_lo
     flags = bytearray(b"\x01") * width
-    for q in islice(primes, bisect_left(primes, j_hi)):
-        start = ((j_lo + q - 1) // q) * q
-        i0 = start - j_lo
+    for q in _odd_sieve_primes(limit):
+        i0 = -j_lo % q
         if i0 < width:
             flags[i0::q] = b"\x00" * ((width - i0 + q - 1) // q)
-    two_c = 2 * constraint
     find = flags.find
     pos = find(1)
     while pos != -1:
-        r = two_c * (j_lo + pos) - partner
-        if r >= 3 and is_prime(r):
-            return r
+        u = odd_part(j_lo + pos)
+        if u == 1 or u >= constraint:
+            r = two_c * (j_lo + pos) - partner
+            if is_prime(r):
+                return r
         pos = find(1, pos + 1)
     return None
 

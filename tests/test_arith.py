@@ -124,6 +124,16 @@ class TestPowersAndOddPart:
             odd_part(0)
 
 
+@pytest.mark.parametrize(
+    "fn", [is_power_of_two, odd_part, smallest_odd_prime_divisor, factorize]
+)
+def test_huge_nonpositive_named_by_size(fn):
+    # past the int-string limit the message gives the size, not the digits
+    message = "^expected a positive integer, got an 16610-bit integer$"
+    with pytest.raises(ValueError, match=message):
+        fn(-(10**5000))
+
+
 class TestSmallestOddPrimeDivisor:
     @pytest.mark.parametrize("n,expected", [
         (1, None), (2, None), (8, None), (1 << 30, None),

@@ -32,7 +32,7 @@ def brute_scan(constraint, partner, m_lo, m_hi):
         if m % 2:
             continue
         r = constraint * m - partner
-        if r >= 3 and oracles.trial_is_prime(r) and oracles.sopd_trial(partner + r) == constraint:
+        if r >= 3 and oracles.mr_is_prime(r) and oracles.sopd_trial(partner + r) == constraint:
             return r
     return None
 
@@ -117,6 +117,25 @@ class TestScanMultiplierRange:
             assert scan_multiplier_range(c, p, lo, hi) == brute_scan(c, p, lo, hi), (
                 c, p, lo, hi,
             )
+
+    @pytest.mark.parametrize("c", [1009, 7919])
+    def test_matches_brute_force_across_constraint_and_square(self, c):
+        # j = m/2 straddling c (powers of two below it, a sieve above), 2c,
+        # and c**2, where the sqrt(j) sieve limit reaches c - 1
+        rng = random.Random(c)
+        partners = [p for p in oracles.simple_primes(20_000) if p > 2]
+        ranges = [(2, 2 * c + 300)]
+        for j in (c, 2 * c, c * c):
+            for _ in range(8):
+                lo, hi = 2 * j - rng.randrange(300), 2 * j + rng.randrange(300)
+                ranges.append((lo, hi))
+        results = []
+        for lo, hi in ranges:
+            for p in rng.sample(partners, 4):
+                expected = brute_scan(c, p, lo, hi)
+                assert scan_multiplier_range(c, p, lo, hi) == expected, (c, p, lo, hi)
+                results.append(expected)
+        assert None in results and any(results)
 
 
 def make_checkpoint(best=None, next_multiplier=100, shards=2, wall=1.5):
@@ -437,8 +456,8 @@ class TestRunSearch:
         assert resumed.prime == 967
         assert resumed.checkpoint.shards_done == 1
 
-    def test_shards_share_sieving_primes(self, monkeypatch):
-        # step 16's 13 shards sieve 5 prime lists, not one per shard
+    @pytest.fixture
+    def sieve_calls(self, monkeypatch):
         calls = []
 
         def counting_sieve(limit):
@@ -447,10 +466,22 @@ class TestRunSearch:
 
         _odd_sieve_primes.cache_clear()
         monkeypatch.setattr(searchctl, "sieve_primes", counting_sieve)
+        yield calls
+        _odd_sieve_primes.cache_clear()
+
+    def test_shards_share_sieving_primes(self, sieve_calls):
+        # of step 16's 13 shards only the last reaches j = m/2 >= 406507,
+        # and it sieves to about sqrt(j), not to the constraint
         result = run_search(SearchTask(406507, 67, 10**12))
         assert result.prime == 330515394367
         assert result.checkpoint.shards_done == 13
-        assert len(calls) <= 5
+        assert len(sieve_calls) <= 5
+        assert max(sieve_calls) <= 1023
+
+    def test_no_sieve_below_constraint(self, sieve_calls):
+        # every j = m/2 <= 2460 is below 406507: only powers of two are tested
+        assert run_search(SearchTask(406507, 67, 2 * 10**9)).exhausted
+        assert sieve_calls == []
 
     def test_max_shards_zero_returns_start(self, tmp_path):
         task = SearchTask(439, 7, 10**6)
@@ -606,6 +637,34 @@ class TestResultInvariants:
         checkpoint.validate()
         clone = dataclasses.replace(checkpoint, wall_seconds=0.0)
         clone.validate()
+
+    # task (439, 7, 10**9); u is the odd part of m = (7 + r) / 439
+    @pytest.mark.parametrize("best", [
+        348559,  # u = 397, a prime below the constraint
+        390703,  # u = 445 = 5 * 89, composite below 439**2
+        406507,  # u = 463, a prime
+        169530379,  # u = 193087 = 293 * 659, past 439**2
+        201586159,  # u = 229597 = 439 * 523, past 439**2
+    ])
+    def test_validate_divisor_property_matches_oracle(self, best):
+        task = SearchTask(439, 7, 10**9)
+        m = (7 + best) // 439
+        checkpoint = Checkpoint(task, m + 2, best, 1, 0.0)
+        if oracles.sopd_trial(7 + best) == 439:
+            checkpoint.validate()
+        else:
+            with pytest.raises(CheckpointError, match="divisor property"):
+                checkpoint.validate()
+
+    def test_validate_needs_no_factorization(self, monkeypatch):
+        # 67 + a16 = 406507 * 2 * 406531: the odd part of m is a prime
+        # below 406507**2, so a primality test settles it
+        def no_factorize(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr("pfib.arith.factorize", no_factorize)
+        task = SearchTask(406507, 67, 10**12)
+        Checkpoint(task, 813064, 330515394367, 13, 0.0).validate()
 
     def test_exhausted_checkpoint_covers_whole_range(self):
         task = SearchTask(406507, 67, 2_000_000_000)
