@@ -4,6 +4,11 @@ Everything runs on Python's native arbitrary-precision integers, and every
 result is deterministic.  `is_prime` is the Baillie-PSW test (a strong base-2
 test plus a strong Lucas test): exact below 2**64, and no composite is known
 to pass it above.
+
+Below 2**16 both it and `smallest_odd_prime_divisor` read one lazily built
+64 KB table, whose entry n is 0 for a prime and else n's least prime factor
+(0 and 1 count as non-prime): that factor is below sqrt(2**16) = 2**8, so a
+byte holds it.  The trial-division primes are read off the same table.
 """
 
 from __future__ import annotations
@@ -44,16 +49,13 @@ def is_prime(n: int) -> bool:
     Lucas test with Selfridge's parameters (Baillie & Wagstaff 1980; Pomerance,
     Selfridge & Wagstaff 1980).  Exact below 2**64, where every base-2 strong
     pseudoprime has been checked; no composite is known to pass it above.
+    Below 2**16 the least-factor table answers instead.
     """
-    if n < 2:
-        return False
+    if n < _TRIAL_CUTOFF:
+        return n >= 2 and not _trial_tables()[0][n]
     for p in _SMALL_PRIMES:
-        if n == p:
-            return True
         if n % p == 0:
             return False
-    if n < 4489:  # 67**2; no composite below it survives the screen above
-        return True
     return _strong_base_two(n) and _strong_lucas(n)
 
 
@@ -150,24 +152,37 @@ def odd_part(n: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _trial_primes() -> tuple[int, ...]:
-    return tuple(sieve_primes(_TRIAL_CUTOFF))
+def _trial_tables() -> tuple[bytes, tuple[int, ...]]:
+    # (least-factor table, primes below 2**16).  Striking the multiples of
+    # p from p*p on, for p = isqrt(2**16 - 1) = 255 down to 2, leaves the
+    # least factor last.
+    table = bytearray(_TRIAL_CUTOFF)
+    table[0] = table[1] = 1
+    for p in range(math.isqrt(_TRIAL_CUTOFF - 1), 1, -1):
+        table[p * p :: p] = bytes((p,)) * ((_TRIAL_CUTOFF - 1 - p * p) // p + 1)
+    prime_flags = table.translate(b"\x01" + bytes(255))
+    return bytes(table), tuple(itertools.compress(range(_TRIAL_CUTOFF), prime_flags))
 
 
 def smallest_odd_prime_divisor(n: int) -> int | None:
     """Least odd prime dividing n, or None when n is a power of two.
 
-    Trial division by primes up to 2**16 covers everything the sequence
-    generators produce; a leftover cofactor beyond 2**32 falls back on
-    `factorize` so the function stays total.
+    An odd part u below 2**16 is read off the least-factor table: 0 marks a
+    prime u, else the entry is u's least prime factor, <= sqrt(u) < 2**8
+    and so one byte.  Above it, trial division by the primes below 2**16
+    covers everything the sequence generators produce; a leftover cofactor
+    beyond 2**32 falls back on `factorize` so the function stays total.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {_show(n)}")
-    u = odd_part(n)
+    u = n >> ((n & -n).bit_length() - 1)
     if u == 1:
         return None
+    least, primes = _trial_tables()
+    if u < _TRIAL_CUTOFF:
+        return least[u] or u
     root = math.isqrt(u)
-    for p in _trial_primes():  # 2 never divides the odd u
+    for p in primes:  # 2 never divides the odd u
         if p > root:
             return u  # no divisor <= sqrt(u): u is prime
         if u % p == 0:
@@ -180,7 +195,9 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, via a sieve segmented into 2**20-entry windows."""
     if limit >= _SIEVE_CEILING:
-        raise ValueError(f"sieve limit {limit} exceeds ceiling {_SIEVE_CEILING}")
+        raise ValueError(
+            f"sieve limit {_show(limit)} exceeds ceiling {_SIEVE_CEILING}"
+        )
     if limit < 2:
         return []
     if limit < _SIEVE_WINDOW:
@@ -232,17 +249,16 @@ def crt_solve(congruences) -> CrtSystem:
     pairs = []
     for residue, modulus in congruences:
         if modulus < 2:
-            raise ValueError(f"modulus {modulus} must be at least 2")
+            raise ValueError(f"modulus {_show(modulus)} must be at least 2")
         pairs.append((residue % modulus, modulus))
     if not pairs:
         raise ValueError("at least one congruence is required")
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            g = math.gcd(pairs[i][1], pairs[j][1])
-            if g != 1:
-                raise ValueError(
-                    f"moduli {pairs[i][1]} and {pairs[j][1]} are not coprime (gcd {g})"
-                )
+    for (_, a), (_, b) in itertools.combinations(pairs, 2):
+        g = math.gcd(a, b)
+        if g != 1:
+            raise ValueError(
+                f"moduli {_show(a)} and {_show(b)} are not coprime (gcd {_show(g)})"
+            )
     x, modulus = 0, 1
     for residue, m in pairs:
         t = (residue - x) * pow(modulus, -1, m) % m
@@ -260,7 +276,7 @@ def factorize(n: int) -> list[int]:
     if n < 1:
         raise ValueError(f"expected a positive integer, got {_show(n)}")
     factors: list[int] = []
-    for p in _trial_primes():
+    for p in _trial_tables()[1]:
         if p * p > n:
             break
         while n % p == 0:

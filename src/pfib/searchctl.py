@@ -37,7 +37,6 @@ from .arith import (
     is_prime,
     odd_part,
     sieve_primes,
-    smallest_odd_prime_divisor,
 )
 
 __all__ = [
@@ -147,18 +146,23 @@ class Checkpoint:
             )
         # c | total, so c is its smallest odd prime divisor iff the odd part
         # u of m = total/c is 1 or free of primes below c: below c**2 that
-        # means u is prime, which needs no factorization
+        # means u is prime; above it, a scan that reached u sieved with the
+        # same cached odd primes below c, so neither case factorizes
         c, u = task.constraint_prime, odd_part(m)
         if u < c:
             valid = u == 1
         elif u < c * c:
             valid = is_prime(u)
         else:
-            valid = smallest_odd_prime_divisor(u) >= c
+            try:
+                sieving = _odd_sieve_primes(c - 1)
+            except ValueError as exc:  # c - 1 is past the sieve ceiling
+                raise CheckpointError(f"constraint {_show(c)} too large") from exc
+            valid = all(u % p for p in sieving)
         if not valid:
             raise CheckpointError(
                 f"best_found {_show(best)} fails the divisor property for "
-                f"constraint {c}"
+                f"constraint {_show(c)}"
             )
 
 

@@ -23,9 +23,9 @@ from enum import Enum
 
 from .arith import (
     CrtSystem,
+    _show,
     crt_solve,
     ensure_odd_prime,
-    is_power_of_two,
     is_prime,
     sieve_primes,
     smallest_odd_prime_divisor,
@@ -133,17 +133,19 @@ class PrimeAp:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError(f"length must be positive, got {self.length}")
+            raise ValueError(f"length must be >= 1, got {_show(self.length)}")
         if self.difference < 1:
-            raise ValueError(f"difference must be positive, got {self.difference}")
+            raise ValueError(f"difference must be >= 1, got {_show(self.difference)}")
         for j in range(self.length):
             value = self.first + j * self.difference
             if not is_prime(value):
-                raise ValueError(f"term {value} of the progression is not prime")
+                raise ValueError(f"term {_show(value)} of the progression is not prime")
 
     def term(self, j: int) -> int:
         if not 0 <= j < self.length:
-            raise IndexError(f"index {j} outside progression of length {self.length}")
+            raise IndexError(
+                f"index {_show(j)} outside progression of length {self.length}"
+            )
         return self.first + j * self.difference
 
 
@@ -151,18 +153,18 @@ def generate_forward(seed: Seed, max_terms: int) -> PfibSequence:
     """Run the forward recurrence until it terminates, goes constant, or hits
     max_terms."""
     if max_terms < 2:
-        raise ValueError(f"max_terms must be at least 2, got {max_terms}")
-    terms = [seed.p1, seed.p2]
-    while True:
-        a, b = terms[-2], terms[-1]
-        if a == b:
-            return PfibSequence(tuple(terms), ForwardStatus.CONSTANT)
+        raise ValueError(f"max_terms must be at least 2, got {_show(max_terms)}")
+    a, b = seed.p1, seed.p2
+    terms = [a, b]
+    while a != b:
         total = a + b
-        if is_power_of_two(total):
+        if total & (total - 1) == 0:
             return PfibSequence(tuple(terms), ForwardStatus.TERMINATED, final_sum=total)
         if len(terms) >= max_terms:
             return PfibSequence(tuple(terms), ForwardStatus.TRUNCATED, limit=max_terms)
-        terms.append(smallest_odd_prime_divisor(total))
+        a, b = b, smallest_odd_prime_divisor(total)
+        terms.append(b)
+    return PfibSequence(tuple(terms), ForwardStatus.CONSTANT)
 
 
 def extend_left_crt(
@@ -181,9 +183,9 @@ def extend_left_crt(
     ensure_odd_prime(p1)
     ensure_odd_prime(p2)
     if p1 == p2:
-        raise ValueError(f"left extension needs distinct primes, got {p1} twice")
+        raise ValueError(f"left extension needs distinct primes, got {_show(p1)} twice")
     if max_steps < 1:
-        raise ValueError(f"max_steps must be positive, got {max_steps}")
+        raise ValueError(f"max_steps must be positive, got {_show(max_steps)}")
     congruences = []
     for q in sieve_primes(p2 - 1):
         if q == 2:
@@ -195,19 +197,21 @@ def extend_left_crt(
     a, modulus = system.solution, system.combined_modulus
     if math.gcd(a, modulus) != 1:
         raise DegenerateSystemError(
-            f"solution {a} mod {modulus} shares a factor with the modulus"
+            f"solution {_show(a)} mod {_show(modulus)} shares a factor with the modulus"
         )
     value = a
     for _ in range(max_steps):
         if value >= 3 and value % 2 == 1 and is_prime(value):
             if smallest_odd_prime_divisor(value + p1) != p2:
                 raise DegenerateSystemError(
-                    f"{value} + {p1} has a smaller odd prime divisor than {p2}"
+                    f"{_show(value)} + {_show(p1)} has a smaller odd prime divisor "
+                    f"than {_show(p2)}"
                 )
             return value, system
         value += modulus
     raise BoundExhaustedError(
-        f"no odd prime in the first {max_steps} terms of {a} + k*{modulus}"
+        f"no odd prime in the first {max_steps} terms of {_show(a)} + "
+        f"k*{_show(modulus)}"
     )
 
 
@@ -242,9 +246,9 @@ def generate_reversed(
     known.
     """
     if num_terms < 2:
-        raise ValueError(f"num_terms must be at least 2, got {num_terms}")
+        raise ValueError(f"num_terms must be at least 2, got {_show(num_terms)}")
     if per_step_bound < 1:
-        raise ValueError(f"per_step_bound must be positive, got {per_step_bound}")
+        raise ValueError(f"per_step_bound must be >= 1, got {_show(per_step_bound)}")
     terms = [seed.p1, seed.p2]
     if on_term is not None:
         on_term(0, terms[0])
@@ -301,7 +305,7 @@ def index_recurrence(k: int) -> list[int]:
     stays integral through index k.
     """
     if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
+        raise ValueError(f"k must be at least 3, got {_show(k)}")
     indices = [0, 1 << (k - 2)]
     while len(indices) < k:
         total = indices[-2] + indices[-1]
@@ -321,11 +325,11 @@ def green_tao_sequence(k: int, ap: PrimeAp) -> PfibSequence:
     member.  Both facts are verified on the generated sequence.
     """
     if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
+        raise ValueError(f"k must be at least 3, got {_show(k)}")
     n = 1 << (k - 2)
     if ap.length != n + 1:
         raise ValueError(
-            f"k={k} needs a progression of length {n + 1}, got {ap.length}"
+            f"k={k} needs a progression of length {_show(n + 1)}, got {ap.length}"
         )
     indices = index_recurrence(k)
     cap = 2 * ap.term(ap.length - 1) + 4
@@ -338,8 +342,8 @@ def green_tao_sequence(k: int, ap: PrimeAp) -> PfibSequence:
         expected = ap.term(indices[i])
         if sequence.terms[i] != expected:
             raise ValueError(
-                f"construction broke: term {i + 1} is {sequence.terms[i]}, "
-                f"expected progression member {expected}"
+                f"construction broke: term {i + 1} is {_show(sequence.terms[i])}, "
+                f"expected progression member {_show(expected)}"
             )
     return sequence
 
@@ -348,7 +352,7 @@ def find_prime_ap(length: int, search_limit: int) -> PrimeAp | None:
     """Smallest (first, difference) prime AP of the given length with
     first <= search_limit and difference <= search_limit; None if none."""
     if length < 2:
-        raise ValueError(f"length must be at least 2, got {length}")
+        raise ValueError(f"length must be at least 2, got {_show(length)}")
     if search_limit < 2:
         return None
     span = search_limit * length
@@ -410,7 +414,7 @@ def growth_diagnostics(seq: ReversedSequence) -> GrowthReport:
             if remainder or ratio % 2 or ratio < 4:
                 raise ValueError(
                     f"triple at index {i} is not a reversed-sequence window: "
-                    f"{terms[i]} does not evenly quarter {total}"
+                    f"{_show(terms[i])} does not evenly quarter {_show(total)}"
                 )
             run += 1
             longest = max(longest, run)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pfib import arith
 from pfib.arith import (
     CrtSystem,
     crt_solve,
@@ -23,7 +24,11 @@ class TestIsPrime:
     def test_known_primes(self, n):
         assert is_prime(n)
 
-    @pytest.mark.parametrize("n", [-7, 0, 1, 4, 9, 25, 1000001, 4489])
+    # a negative n must not index the least-factor table from its end, where
+    # -15 and -65533 would land on the primes 65521 and 3
+    @pytest.mark.parametrize("n", [
+        -7, 0, 1, 4, 9, 25, 1000001, 4489, -1, -2, -15, -65533, -65535,
+    ])
     def test_known_composites_and_small(self, n):
         assert not is_prime(n)
 
@@ -134,6 +139,36 @@ def test_huge_nonpositive_named_by_size(fn):
         fn(-(10**5000))
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: sieve_primes(10**5000), id="sieve_limit"),
+    pytest.param(lambda: crt_solve([(1, -(10**5000))]), id="crt_modulus"),
+    pytest.param(
+        lambda: crt_solve([(1, 10**5000), (1, 3 * 10**5000)]), id="crt_coprime"
+    ),
+])
+def test_huge_arguments_named_by_size(call):
+    with pytest.raises(ValueError, match="an 1661[0-2]-bit integer"):
+        call()
+
+
+class TestLeastFactorTable:
+    def test_matches_oracles_across_the_cutoff(self):
+        # [1, 2**17) spans the table's 2**16 edge and the trial division above
+        for n in range(1, 1 << 17):
+            assert is_prime(n) == oracles.trial_is_prime(n), n
+            assert smallest_odd_prime_divisor(n) == oracles.sopd_trial(n), n
+
+    def test_set_up_call_builds_every_kernel_table(self):
+        # the benchmark's set-up calls smallest_odd_prime_divisor(3); no
+        # table may be left to build inside a timed region
+        caches = [f for f in vars(arith).values() if hasattr(f, "cache_info")]
+        assert caches
+        for cached in caches:
+            cached.cache_clear()
+        smallest_odd_prime_divisor(3)
+        assert [f.cache_info().currsize for f in caches] == [1] * len(caches)
+
+
 class TestSmallestOddPrimeDivisor:
     @pytest.mark.parametrize("n,expected", [
         (1, None), (2, None), (8, None), (1 << 30, None),
@@ -234,6 +269,9 @@ class TestFactorize:
     @pytest.mark.parametrize("n,expected", [
         (1, []), (2, [2]), (12, [2, 2, 3]), (997, [997]),
         (1 << 10, [2] * 10), (406514, [2, 439, 463]),
+        # at the trial-division cutoff, and the largest trial prime squared
+        ((1 << 16) - 1, [3, 5, 17, 257]), (1 << 16, [2] * 16),
+        ((1 << 16) + 1, [65537]), (65521 * 65521, [65521, 65521]),
     ])
     def test_examples(self, n, expected):
         assert factorize(n) == expected

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from pfib import searchctl
-from pfib.arith import sieve_primes
+from pfib.arith import is_prime, sieve_primes
 from pfib.searchctl import (
     DEFAULT_SHARD_WIDTH,
     Checkpoint,
@@ -665,6 +665,54 @@ class TestResultInvariants:
         monkeypatch.setattr("pfib.arith.factorize", no_factorize)
         task = SearchTask(406507, 67, 10**12)
         Checkpoint(task, 813064, 330515394367, 13, 0.0).validate()
+
+    def test_validate_past_c_squared_needs_no_factorization(self, monkeypatch):
+        # 67 + r = 406507 * 2**21 * 406507 * 406531: the odd part of m is a
+        # semiprime past 406507**2 with no prime factor below 406507
+        def no_factorize(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        monkeypatch.setattr("pfib.arith.factorize", no_factorize)
+        best = 140883338403703200677821
+        assert oracles.mr_is_prime(best)
+        task = SearchTask(406507, 67, best)
+        m = (67 + best) // 406507
+        Checkpoint(task, m + 2, best, 1, 0.0).validate()
+
+    def test_validate_past_c_squared_matches_oracle(self):
+        # every hit of task (13, 3, 10**6) whose multiplier m has odd part
+        # u >= 13**2: valid iff 13 is the oracle's smallest odd prime divisor
+        c, partner = 13, 3
+        task = SearchTask(c, partner, 10**6)
+        outcomes = set()
+        for m in range(2, 20_000, 2):
+            u = m
+            while u % 2 == 0:
+                u //= 2
+            best = c * m - partner
+            if u < c * c or not oracles.trial_is_prime(best):
+                continue
+            checkpoint = Checkpoint(task, m + 2, best, 1, 0.0)
+            valid = oracles.sopd_trial(partner + best) == c
+            outcomes.add(valid)
+            if valid:
+                checkpoint.validate()
+            else:
+                with pytest.raises(CheckpointError, match="divisor property"):
+                    checkpoint.validate()
+        assert outcomes == {True, False}
+
+    def test_validate_refuses_constraint_past_sieve_ceiling(self):
+        # 4294967311 is the least prime above 2**32; the odd primes below it
+        # cannot be sieved, so a hit with u >= c**2 cannot be checked
+        c = 4294967311
+        u = c * c
+        while not is_prime(2 * c * u - 3):
+            u += 2
+        best = 2 * c * u - 3
+        checkpoint = Checkpoint(SearchTask(c, 3, best), 2 * u + 2, best, 1, 0.0)
+        with pytest.raises(CheckpointError, match="too large"):
+            checkpoint.validate()
 
     def test_exhausted_checkpoint_covers_whole_range(self):
         task = SearchTask(406507, 67, 2_000_000_000)

@@ -83,6 +83,56 @@ class TestGenerateForward:
             total = seq.terms[i] + seq.terms[i + 1]
             assert seq.terms[i + 2] == oracles.sopd_trial(total)
 
+    def test_every_pair_below_200_matches_oracle(self):
+        odd_primes = oracles.simple_primes(200)[1:]
+        seen = set()
+        for p1 in odd_primes:
+            for p2 in odd_primes:
+                for max_terms in (4, 1000):
+                    terms = oracles.forward_scan(p1, p2, max_terms)
+                    total = terms[-2] + terms[-1]
+                    if terms[-2] == terms[-1]:
+                        expected = (ForwardStatus.CONSTANT, None, None)
+                    elif oracles.sopd_trial(total) is None:
+                        expected = (ForwardStatus.TERMINATED, total, None)
+                    else:
+                        expected = (ForwardStatus.TRUNCATED, None, max_terms)
+                    seq = generate_forward(Seed(p1, p2), max_terms)
+                    assert list(seq.terms) == terms
+                    assert (seq.status, seq.final_sum, seq.limit) == expected
+                    seen.add(seq.status)
+        assert seen == set(ForwardStatus)
+
+
+HUGE = -(10**5000)
+
+
+@pytest.mark.parametrize("call,error", [
+    pytest.param(lambda: generate_forward(Seed(3, 5), HUGE), ValueError,
+                 id="generate_forward.max_terms"),
+    pytest.param(lambda: generate_reversed(Seed(3, 5), HUGE, 10), ValueError,
+                 id="generate_reversed.num_terms"),
+    pytest.param(lambda: generate_reversed(Seed(3, 5), 3, HUGE), ValueError,
+                 id="generate_reversed.per_step_bound"),
+    pytest.param(lambda: extend_left_crt(3, 5, HUGE), ValueError,
+                 id="extend_left_crt.max_steps"),
+    pytest.param(lambda: index_recurrence(HUGE), ValueError,
+                 id="index_recurrence.k"),
+    pytest.param(lambda: green_tao_sequence(HUGE, PrimeAp(3, 2, 3)), ValueError,
+                 id="green_tao_sequence.k"),
+    pytest.param(lambda: find_prime_ap(HUGE, 10), ValueError,
+                 id="find_prime_ap.length"),
+    pytest.param(lambda: PrimeAp(3, 2, HUGE), ValueError, id="PrimeAp.length"),
+    pytest.param(lambda: PrimeAp(3, HUGE, 1), ValueError, id="PrimeAp.difference"),
+    pytest.param(lambda: PrimeAp(10**5000, 1, 1), ValueError, id="PrimeAp.first"),
+    pytest.param(lambda: PrimeAp(3, 2, 3).term(HUGE), IndexError,
+                 id="PrimeAp.term"),
+])
+def test_huge_values_named_by_size(call, error):
+    # past the int-string limit the message gives the size, not the digits
+    with pytest.raises(error, match="an 16610-bit integer"):
+        call()
+
 
 class TestExtendLeftCrt:
     def test_reference_pair(self):
@@ -122,6 +172,12 @@ class TestExtendLeftCrt:
         # the first progression value for (5, 7) is 86, which is not prime
         with pytest.raises(BoundExhaustedError):
             extend_left_crt(5, 7, max_steps=1)
+
+    def test_exhaustion_names_a_huge_progression_by_size(self):
+        # the modulus for p2 = 10103 has over 4300 digits, past the
+        # int-string limit; the first progression value is even
+        with pytest.raises(BoundExhaustedError, match="k\\*an 14436-bit integer"):
+            extend_left_crt(3, 10103, max_steps=1)
 
     @given(st.sampled_from(SMALL_ODD_PRIMES), st.sampled_from(SMALL_ODD_PRIMES))
     @settings(max_examples=60, deadline=None)
