@@ -253,14 +253,18 @@ def crt_solve(congruences) -> CrtSystem:
         pairs.append((residue % modulus, modulus))
     if not pairs:
         raise ValueError("at least one congruence is required")
-    for (_, a), (_, b) in itertools.combinations(pairs, 2):
-        g = math.gcd(a, b)
-        if g != 1:
-            raise ValueError(
-                f"moduli {_show(a)} and {_show(b)} are not coprime (gcd {_show(g)})"
-            )
     x, modulus = 0, 1
-    for residue, m in pairs:
+    for i, (residue, m) in enumerate(pairs):
+        if math.gcd(modulus, m) != 1:
+            # m shares a factor with the product so far, so with an earlier
+            # modulus: name the first such one
+            for _, earlier in pairs[:i]:
+                g = math.gcd(earlier, m)
+                if g != 1:
+                    raise ValueError(
+                        f"moduli {_show(earlier)} and {_show(m)} are not coprime "
+                        f"(gcd {_show(g)})"
+                    )
         t = (residue - x) * pow(modulus, -1, m) % m
         x += modulus * t
         modulus *= m

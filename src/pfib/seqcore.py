@@ -16,14 +16,18 @@ or within a sequence, is one searchctl.run_search call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
 from .arith import (
+    _TRIAL_CUTOFF,
     CrtSystem,
     _show,
+    _trial_tables,
     crt_solve,
     ensure_odd_prime,
     is_prime,
@@ -58,6 +62,10 @@ __all__ = [
 
 # Default cap on the Dirichlet progression scan in extend_left_crt.
 DEFAULT_DIRICHLET_STEPS = 10**6
+
+# Progression indices sieved at once by extend_left_crt; one window holds
+# the first prime for every p2 below 1000 with p1 = 3.
+_DIRICHLET_WINDOW = 1 << 10
 
 # Positive root of r**2 + r - 4 = 0, the growth rate a monotone reversed
 # sequence is compared against.
@@ -175,10 +183,18 @@ def extend_left_crt(
     Builds x = t_q - p1 (mod q) for every odd prime q < p2 and
     x = -p1 (mod p2), where the target sum residue t_q is 1 except when
     p1 = 1 (mod q), where it shifts to 2: both choices keep q out of p0 + p1,
-    and the shift keeps the solution coprime to the modulus so Dirichlet
+    and the shift keeps the solution coprime to the modulus Q so Dirichlet
     applies to the progression at all.  The progression a, a+Q, a+2Q, ... is
     then scanned for its first odd prime (the prime 2 can appear once and is
-    skipped).
+    skipped), at most max_steps terms.
+
+    Every term is coprime to the primes up to p2, so before any primality
+    test the index k is sieved in fixed-width windows: Q is odd, so every
+    other term is even, and an odd prime p with p2 < p < 2**16 divides
+    a + kQ exactly when k = -a/Q (mod p).  Two rules keep the scan
+    exact and small.  A term at or below 2**16 may itself be a sieving
+    prime, so it is tested, never sieved.  Each root is computed as the loop
+    reaches its prime, and no per-prime list is kept.
     """
     ensure_odd_prime(p1)
     ensure_odd_prime(p2)
@@ -199,8 +215,7 @@ def extend_left_crt(
         raise DegenerateSystemError(
             f"solution {_show(a)} mod {_show(modulus)} shares a factor with the modulus"
         )
-    value = a
-    for _ in range(max_steps):
+    for value in _progression_candidates(a, modulus, p2, max_steps):
         if value >= 3 and value % 2 == 1 and is_prime(value):
             if smallest_odd_prime_divisor(value + p1) != p2:
                 raise DegenerateSystemError(
@@ -208,11 +223,40 @@ def extend_left_crt(
                     f"than {_show(p2)}"
                 )
             return value, system
-        value += modulus
     raise BoundExhaustedError(
         f"no odd prime in the first {max_steps} terms of {_show(a)} + "
         f"k*{_show(modulus)}"
     )
+
+
+def _progression_candidates(a: int, modulus: int, p2: int, steps: int):
+    # The terms a + k*modulus, k < steps, in order, less those above 2**16
+    # that the sieve proves composite: the even ones, and those with a prime
+    # factor p, p2 < p < 2**16.  The modulus is odd, a product of primes <= p2.
+    k = 0
+    while k < steps and a + k * modulus <= _TRIAL_CUTOFF:
+        yield a + k * modulus
+        k += 1
+    primes = _trial_tables()[1]
+    first = bisect_right(primes, p2)
+    while k < steps:
+        width = min(_DIRICHLET_WINDOW, steps - k)
+        flags = bytearray(b"\x01") * width
+        even = (a + k) % 2  # a + (k + i)*modulus is even iff i = a + k (mod 2)
+        flags[even::2] = bytes(len(range(even, width, 2)))
+        # p strikes i with k + i = -a/modulus (mod p); a and the modulus are
+        # reduced once per twelve primes, by their product, then by each prime
+        for lo in range(first, len(primes), 12):
+            block = primes[lo : lo + 12]
+            product = math.prod(block)
+            a_rem, q_rem = a % product, modulus % product
+            for p in block:
+                start = (-(a_rem % p) * pow(q_rem % p, -1, p) - k) % p
+                if start < width:
+                    flags[start::p] = bytes(len(range(start, width, p)))
+        for i in itertools.compress(range(width), flags):
+            yield a + (k + i) * modulus
+        k += width
 
 
 def extend_left_minimal(p1: int, p2: int, bound: int) -> int | None:

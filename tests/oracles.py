@@ -27,6 +27,13 @@ def mr_is_prime(n: int) -> bool:
     3.3e24 (Sorenson & Webster 2015).  For values where trial division is
     hopeless; shares no code with the package."""
     assert n < _MR41_LIMIT, "outside the deterministic range of these bases"
+    return mr_probable_prime(n)
+
+
+def mr_probable_prime(n: int) -> bool:
+    """The same Miller-Rabin test at any size: exact below 3.3e24, a strong
+    probable-prime test to 13 bases above it, which is independent of the
+    package's Baillie-PSW test."""
     if n < 2:
         return False
     for p in _MR41_BASES:
@@ -100,6 +107,17 @@ def crt_scan(congruences) -> tuple[int, int]:
         if all(x % m == r % m for r, m in congruences):
             return x, modulus
     raise AssertionError("no solution in a full period; moduli not coprime?")
+
+
+def first_progression_prime(a: int, modulus: int) -> tuple[int, int]:
+    """(k, a + k*modulus) for the least k whose term is an odd prime: every
+    term is tested in order, with no sieve."""
+    k = 0
+    while True:
+        value = a + k * modulus
+        if value % 2 == 1 and mr_probable_prime(value):
+            return k, value
+        k += 1
 
 
 def reversed_step_scan(partner: int, constraint: int, bound: int) -> int | None:

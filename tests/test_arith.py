@@ -241,6 +241,15 @@ class TestCrtSolve:
         with pytest.raises(ValueError, match=r"not coprime \(gcd 2\)"):
             crt_solve([(1, 4), (2, 6)])
 
+    def test_rejects_non_coprime_modulus_last(self):
+        # after the 203 odd primes below 1250, a modulus sharing 3 with the
+        # first one; the message names that earlier modulus and the gcd
+        congruences = [(1, q) for q in oracles.simple_primes(1250)[1:]]
+        congruences.append((1, 3 * 1249))
+        message = r"^moduli 3 and 3747 are not coprime \(gcd 3\)$"
+        with pytest.raises(ValueError, match=message):
+            crt_solve(congruences)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             crt_solve([])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pfib import searchctl
+from pfib import searchctl, seqcore
 from pfib.arith import smallest_odd_prime_divisor
 from pfib.seqcore import (
     BoundExhaustedError,
@@ -178,6 +178,37 @@ class TestExtendLeftCrt:
         # int-string limit; the first progression value is even
         with pytest.raises(BoundExhaustedError, match="k\\*an 14436-bit integer"):
             extend_left_crt(3, 10103, max_steps=1)
+
+    def test_first_prime_matches_unsieved_scan(self):
+        # every ordered pair of distinct odd primes below 100, among them
+        # pairs whose p0 <= 2**16 is itself a sieving prime, one the sieve
+        # would strike as its own multiple: (3, 5) -> 7, (3, 7) -> 193,
+        # (3, 11) -> 3253
+        primes = oracles.simple_primes(100)[1:]
+        sieving_prime_hits = 0
+        for p1 in primes:
+            for p2 in primes:
+                if p1 == p2:
+                    continue
+                p0, system = extend_left_crt(p1, p2)
+                a, modulus = system.solution, system.combined_modulus
+                index = (p0 - a) // modulus
+                assert (index, p0) == oracles.first_progression_prime(a, modulus)
+                sieving_prime_hits += p2 < p0 <= 2**16
+        assert sieving_prime_hits > 0
+
+    @pytest.mark.parametrize("window", [None, 77, 64])
+    def test_max_steps_is_exact(self, monkeypatch, window):
+        # (83, 191) has progression index 231: past the first window when
+        # the window is patched to 77 (231 = 3*77 ends the third exactly)
+        # or to 64
+        if window is not None:
+            monkeypatch.setattr(seqcore, "_DIRICHLET_WINDOW", window)
+        with pytest.raises(BoundExhaustedError, match="first 231 terms"):
+            extend_left_crt(83, 191, max_steps=231)
+        p0, system = extend_left_crt(83, 191, max_steps=232)
+        assert (p0 - system.solution) // system.combined_modulus == 231
+        assert oracles.sopd_trial(p0 + 83) == 191
 
     @given(st.sampled_from(SMALL_ODD_PRIMES), st.sampled_from(SMALL_ODD_PRIMES))
     @settings(max_examples=60, deadline=None)
