@@ -15,7 +15,6 @@ from .arith import (
     crt_solve,
     ensure_odd_prime,
     factorize,
-    is_power_of_two,
     is_prime,
     odd_part,
     sieve_primes,

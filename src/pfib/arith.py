@@ -8,13 +8,15 @@ to pass it above.
 Below 2**16 both it and `smallest_odd_prime_divisor` read one lazily built
 64 KB table, whose entry n is 0 for a prime and else n's least prime factor
 (0 and 1 count as non-prime): that factor is below sqrt(2**16) = 2**8, so a
-byte holds it.  The trial-division primes are read off the same table.
+byte holds it.  The trial-division primes are read off the same table, and
+so is `sieve_primes` below 2**16.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +25,6 @@ __all__ = [
     "crt_solve",
     "ensure_odd_prime",
     "factorize",
-    "is_power_of_two",
     "is_prime",
     "odd_part",
     "sieve_primes",
@@ -137,13 +138,6 @@ def ensure_odd_prime(n: int) -> int:
     return n
 
 
-def is_power_of_two(n: int) -> bool:
-    """True when n = 2**k for some k >= 0.  Rejects n < 1."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {_show(n)}")
-    return n & (n - 1) == 0
-
-
 def odd_part(n: int) -> int:
     """n with all factors of two removed."""
     if n < 1:
@@ -193,25 +187,24 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, via a sieve segmented into 2**20-entry windows."""
+    """All primes <= limit.  Below 2**16 they are read off the least-factor
+    table; above it, 2**20-entry windows from 2**16 on are sieved by the
+    table's primes up to sqrt(limit), which is below 2**16 under the ceiling.
+    """
     if limit >= _SIEVE_CEILING:
         raise ValueError(
             f"sieve limit {_show(limit)} exceeds ceiling {_SIEVE_CEILING}"
         )
     if limit < 2:
         return []
-    if limit < _SIEVE_WINDOW:
-        return _simple_sieve(limit)
-    root = math.isqrt(limit)
-    primes = _simple_sieve(root)
-    base = [p for p in primes]
-    for lo in range(root + 1, limit + 1, _SIEVE_WINDOW):
-        hi = min(lo + _SIEVE_WINDOW - 1, limit)
-        width = hi - lo + 1
+    table_primes = _trial_tables()[1]
+    primes = list(table_primes[: bisect_right(table_primes, limit)])
+    base = table_primes[: bisect_right(table_primes, math.isqrt(limit))]
+    for lo in range(_TRIAL_CUTOFF, limit + 1, _SIEVE_WINDOW):
+        width = min(_SIEVE_WINDOW, limit + 1 - lo)
         flags = bytearray(b"\x01") * width
-        for p in base:
-            start = ((lo + p - 1) // p) * p
-            i0 = start - lo
+        for p in base:  # p < 2**16 <= lo, so every multiple struck is composite
+            i0 = -lo % p
             if i0 < width:
                 flags[i0::p] = b"\x00" * ((width - i0 + p - 1) // p)
         find = flags.find
@@ -220,15 +213,6 @@ def sieve_primes(limit: int) -> list[int]:
             primes.append(lo + pos)
             pos = find(1, pos + 1)
     return primes
-
-
-def _simple_sieve(limit: int) -> list[int]:
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = b"\x00" * ((limit - p * p) // p + 1)
-    return [i for i in range(limit + 1) if flags[i]]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .seqcore import (
     BoundExhaustedError,
 )
 
-__all__ = ["main", "parse_bfile", "BFileError"]
+__all__ = ["main", "parse_bfile"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,19 +45,12 @@ EXIT_INTERRUPTED = 130
 _Outcome = tuple[int, dict, dict, str]
 
 
-class BFileError(Exception):
-    """Raised for unparseable OEIS b-files; carries the offending line."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def parse_bfile(lines) -> list[tuple[int, int]]:
     """Parse OEIS b-file lines into (index, value) pairs.
 
     Blank lines and '#' comments are skipped; data lines carry exactly two
-    integers with strictly increasing indices and non-negative values.
+    integers with strictly increasing indices and non-negative values.  A
+    line that breaks this raises ValueError naming its line number.
     """
     entries: list[tuple[int, int]] = []
     for line_no, raw in enumerate(lines, start=1):
@@ -66,17 +59,17 @@ def parse_bfile(lines) -> list[tuple[int, int]]:
             continue
         fields = line.split()
         if len(fields) != 2:
-            raise BFileError(line_no, f"expected 'index value', got {line!r}")
+            raise ValueError(f"line {line_no}: expected 'index value', got {line!r}")
         try:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
-            raise BFileError(line_no, f"non-integer field in {line!r}") from None
+            raise ValueError(f"line {line_no}: non-integer field in {line!r}") from None
         if entries and index <= entries[-1][0]:
-            raise BFileError(
-                line_no, f"index {index} not above previous {entries[-1][0]}"
+            raise ValueError(
+                f"line {line_no}: index {index} not above previous {entries[-1][0]}"
             )
         if value < 0:
-            raise BFileError(line_no, f"negative value {value}")
+            raise ValueError(f"line {line_no}: negative value {value}")
         entries.append((index, value))
     return entries
 
@@ -251,7 +244,7 @@ def cmd_verify_bfile(args) -> _Outcome:
             entries = parse_bfile(handle)
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
-    except BFileError as exc:
+    except ValueError as exc:
         raise ValueError(f"{args.path}: {exc}") from exc
     if not entries:
         raise ValueError(f"{args.path}: no entries")

@@ -144,21 +144,13 @@ class Checkpoint:
                 f"best_found {_show(best)} inconsistent with next_multiplier "
                 f"{_show(next_m)}"
             )
-        # c | total, so c is its smallest odd prime divisor iff the odd part
-        # u of m = total/c is 1 or free of primes below c: below c**2 that
-        # means u is prime; above it, a scan that reached u sieved with the
-        # same cached odd primes below c, so neither case factorizes
-        c, u = task.constraint_prime, odd_part(m)
-        if u < c:
-            valid = u == 1
-        elif u < c * c:
-            valid = is_prime(u)
-        else:
-            try:
-                sieving = _odd_sieve_primes(c - 1)
-            except ValueError as exc:  # c - 1 is past the sieve ceiling
-                raise CheckpointError(f"constraint {_show(c)} too large") from exc
-            valid = all(u % p for p in sieving)
+        # c divides total; the scan of m alone decides, by the search's own
+        # rule, whether c is its smallest odd prime divisor
+        c = task.constraint_prime
+        try:
+            valid = scan_multiplier_range(c, task.partner, m, m + 1) == best
+        except ValueError as exc:  # its sieving primes pass the sieve ceiling
+            raise CheckpointError(f"constraint {_show(c)} too large") from exc
         if not valid:
             raise CheckpointError(
                 f"best_found {_show(best)} fails the divisor property for "
@@ -200,9 +192,7 @@ def _least_multiplier(constraint: int, partner: int) -> int:
 
 @lru_cache(maxsize=64)
 def _odd_sieve_primes(limit: int) -> tuple[int, ...]:
-    if limit < 3:
-        return ()
-    return tuple(p for p in sieve_primes(limit) if p != 2)
+    return tuple(sieve_primes(limit)[1:])
 
 
 def scan_multiplier_range(

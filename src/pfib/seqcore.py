@@ -10,7 +10,7 @@ a constant sequence.
 The reversed direction extends to the *left*: given the last two terms, find
 the least odd prime r making the older term the smallest odd prime divisor of
 the newer term plus r.  Seeding with 3, 5 and iterating reproduces OEIS
-A255562; its 16th term, if any, exceeds two billion.  Every such step, single
+A255562; no 16th term exists at or below two billion.  Every such step, single
 or within a sequence, is one searchctl.run_search call.
 """
 
@@ -27,7 +27,6 @@ from .arith import (
     _TRIAL_CUTOFF,
     CrtSystem,
     _show,
-    _trial_tables,
     crt_solve,
     ensure_odd_prime,
     is_prime,
@@ -203,9 +202,7 @@ def extend_left_crt(
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {_show(max_steps)}")
     congruences = []
-    for q in sieve_primes(p2 - 1):
-        if q == 2:
-            continue
+    for q in sieve_primes(p2 - 1)[1:]:
         target = 1 if p1 % q != 1 else 2
         congruences.append(((target - p1) % q, q))
     congruences.append((-p1 % p2, p2))
@@ -237,7 +234,7 @@ def _progression_candidates(a: int, modulus: int, p2: int, steps: int):
     while k < steps and a + k * modulus <= _TRIAL_CUTOFF:
         yield a + k * modulus
         k += 1
-    primes = _trial_tables()[1]
+    primes = sieve_primes(_TRIAL_CUTOFF - 1)
     first = bisect_right(primes, p2)
     while k < steps:
         width = min(_DIRICHLET_WINDOW, steps - k)

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from pfib.arith import (
     crt_solve,
     ensure_odd_prime,
     factorize,
-    is_power_of_two,
     is_prime,
     odd_part,
     sieve_primes,
@@ -108,17 +108,6 @@ class TestEnsureOddPrime:
 
 
 class TestPowersAndOddPart:
-    @pytest.mark.parametrize("n,expected", [(1, True), (2, True), (8, True),
-                                            (1024, True), (3, False),
-                                            (6, False), (12, False)])
-    def test_is_power_of_two(self, n, expected):
-        assert is_power_of_two(n) is expected
-
-    @pytest.mark.parametrize("n", [0, -1, -8])
-    def test_is_power_of_two_rejects_nonpositive(self, n):
-        with pytest.raises(ValueError):
-            is_power_of_two(n)
-
     @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (12, 3), (96, 3),
                                             (1 << 20, 1), (405, 405)])
     def test_odd_part(self, n, expected):
@@ -130,7 +119,7 @@ class TestPowersAndOddPart:
 
 
 @pytest.mark.parametrize(
-    "fn", [is_power_of_two, odd_part, smallest_odd_prime_divisor, factorize]
+    "fn", [odd_part, smallest_odd_prime_divisor, factorize]
 )
 def test_huge_nonpositive_named_by_size(fn):
     # past the int-string limit the message gives the size, not the digits
@@ -208,10 +197,20 @@ class TestSievePrimes:
     def test_prime_count_at_10k(self):
         assert len(sieve_primes(10_000)) == 1229
 
-    def test_segmented_window_boundary(self):
-        # crosses the internal segment width, so the segmented path runs
-        limit = (1 << 20) + 1000
-        assert sieve_primes(limit) == oracles.simple_primes(limit)
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return oracles.simple_primes((1 << 16) + (1 << 20) + 1000)
+
+    # the table answers below 2**16; the sieved windows start there, and the
+    # first window ends at 2**16 + 2**20
+    @pytest.mark.parametrize("limit", [
+        (1 << 16) - 2, (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+        (1 << 16) + (1 << 20) - 1, (1 << 16) + (1 << 20),
+        (1 << 16) + (1 << 20) + 1000,
+    ])
+    def test_table_and_window_edges(self, reference, limit):
+        expected = reference[: bisect_right(reference, limit)]
+        assert sieve_primes(limit) == expected
 
     def test_ceiling_guard(self):
         with pytest.raises(ValueError, match="ceiling"):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pfib.cli import BFileError, main, parse_bfile
+from pfib.cli import main, parse_bfile
 
 A255562_LINE = "3 5 7 3 11 7 37 19 277 331 223 439 7 406507 67"
 
@@ -23,19 +23,19 @@ class TestParseBfile:
         assert parse_bfile(["-1 3", "0 5"]) == [(-1, 3), (0, 5)]
 
     def test_rejects_field_count(self):
-        with pytest.raises(BFileError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_bfile(["1 3", "2 5 8"])
 
     def test_rejects_non_integer(self):
-        with pytest.raises(BFileError, match="non-integer"):
+        with pytest.raises(ValueError, match="non-integer"):
             parse_bfile(["1 three"])
 
     def test_rejects_non_increasing_index(self):
-        with pytest.raises(BFileError, match="not above previous"):
+        with pytest.raises(ValueError, match="not above previous"):
             parse_bfile(["2 3", "2 5"])
 
     def test_rejects_negative_value(self):
-        with pytest.raises(BFileError, match="negative value"):
+        with pytest.raises(ValueError, match="negative value"):
             parse_bfile(["1 -3"])
 
 
@@ -386,6 +386,13 @@ class TestVerifyBfileCommand:
         code, _, err = run_cli("verify-bfile", "3", "5", str(target))
         assert code == 2
         assert "line 2" in err
+
+    def test_non_ascii_file_named(self, run_cli, tmp_path):
+        target = tmp_path / "latin1.txt"
+        target.write_bytes(b"1 3\n2 5\xe9\n")
+        code, _, err = run_cli("verify-bfile", "3", "5", str(target))
+        assert code == 2
+        assert f"{target}: 'ascii' codec can't decode" in err
 
     def test_empty_file(self, run_cli, tmp_path):
         target = tmp_path / "empty.txt"

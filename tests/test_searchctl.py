@@ -679,18 +679,16 @@ class TestResultInvariants:
         m = (67 + best) // 406507
         Checkpoint(task, m + 2, best, 1, 0.0).validate()
 
-    def test_validate_past_c_squared_matches_oracle(self):
-        # every hit of task (13, 3, 10**6) whose multiplier m has odd part
-        # u >= 13**2: valid iff 13 is the oracle's smallest odd prime divisor
+    def test_validate_matches_oracle_on_every_hit(self):
+        # every prime hit of task (13, 3, 10**6) with multiplier m < 20000,
+        # whose odd part u covers u < 13, 13 <= u < 13**2 and u >= 13**2:
+        # valid iff 13 is the oracle's smallest odd prime divisor
         c, partner = 13, 3
         task = SearchTask(c, partner, 10**6)
         outcomes = set()
         for m in range(2, 20_000, 2):
-            u = m
-            while u % 2 == 0:
-                u //= 2
             best = c * m - partner
-            if u < c * c or not oracles.trial_is_prime(best):
+            if not oracles.trial_is_prime(best):
                 continue
             checkpoint = Checkpoint(task, m + 2, best, 1, 0.0)
             valid = oracles.sopd_trial(partner + best) == c
@@ -711,6 +709,15 @@ class TestResultInvariants:
             u += 2
         best = 2 * c * u - 3
         checkpoint = Checkpoint(SearchTask(c, 3, best), 2 * u + 2, best, 1, 0.0)
+        with pytest.raises(CheckpointError, match="too large"):
+            checkpoint.validate()
+        # u = c < c**2 is prime, but j = m/2 = c * 2**e >= 2**64 puts the
+        # scan's sieving primes past the ceiling too, so the hit is refused
+        j = c << 32
+        while not is_prime(2 * c * j - 3):
+            j <<= 1
+        best = 2 * c * j - 3
+        checkpoint = Checkpoint(SearchTask(c, 3, best), 2 * j + 2, best, 1, 0.0)
         with pytest.raises(CheckpointError, match="too large"):
             checkpoint.validate()
 
