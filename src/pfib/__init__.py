@@ -5,7 +5,7 @@ smallest odd prime divisor of the last pairwise sum, stopping when that sum
 is a power of two.  This package generates such sequences, extends them to
 the left (congruence-based and minimal variants), reproduces the reversed
 sequence OEIS A255562 with one bounded, checkpoint-resumable search (a step
-starts a process pool only once it outlives its first shard), builds
+starts a process pool only once it has run for 0.1 s), builds
 length-k sequences from prime arithmetic progressions, and reports growth
 diagnostics.
 """

@@ -14,7 +14,8 @@ sieving primes; they may run in parallel but are finalized strictly in
 multiplier order, so a hit is only accepted once every lower shard has
 completed and the result is bit-identical for any worker count.  Every
 minimal left extension in the package runs through `run_search`; a search
-that settles in its first shard never starts a process pool.
+runs in-process for its first 0.1 s (a resumed checkpoint's time counts) and
+starts a process pool only after that, so a short search never pays for one.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import sys
 import time
 from collections import deque
 from contextlib import closing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
 from math import isqrt
@@ -56,6 +55,10 @@ DEFAULT_SHARD_WIDTH = 1 << 16
 CHECKPOINT_FORMAT_VERSION = 2
 # Seconds between checkpoint writes while waiting on the process pool.
 _CHECKPOINT_INTERVAL = 30.0
+# Seconds a search runs in-process before its shards go to a process pool.
+# Starting and draining a pool costs about 9 ms, so a search that settles
+# sooner never pays for one, and a long search is delayed by at most this.
+_POOL_AFTER_S = 0.1
 
 
 class CheckpointError(Exception):
@@ -309,7 +312,7 @@ def run_search(
     it), and its shards share their sieving primes.  Shards are finalized in
     multiplier order, so the first hit is the least valid candidate and the
     outcome does not depend on `workers`.  Shards run in-process until the
-    search outlives its first shard (a resumed checkpoint's shards count);
+    search has run for 0.1 s (a resumed checkpoint's `wall_seconds` count);
     after that, with `workers` > 1, the remaining shards go to a process pool
     of that size.  With a `checkpoint_path`, state is written after every
     finalized shard and on a 30 s timer while waiting; `max_shards` suspends
@@ -352,15 +355,21 @@ def run_search(
     scan = partial(scan_multiplier_range, task.constraint_prime, task.partner)
 
     def shard_results():
-        # (hi, hit) per shard in multiplier order; a search that settles in
-        # its first shard never pays for a pool's start-up
+        # (hi, hit) per shard in multiplier order
         lo = m_next
-        while lo < m_end and (workers == 1 or shards_done == 0):
+        while lo < m_end and (
+            workers == 1
+            or start.wall_seconds + (time.monotonic() - started) < _POOL_AFTER_S
+        ):
             hi = min(lo + DEFAULT_SHARD_WIDTH, m_end)
             yield hi, scan(lo, hi)
             lo = hi
         if lo >= m_end:
             return
+        # imported here: every command-line run would pay for it at import
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeout
+
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             pending: deque = deque()

@@ -189,11 +189,13 @@ def extend_left_crt(
 
     Every term is coprime to the primes up to p2, so before any primality
     test the index k is sieved in fixed-width windows: Q is odd, so every
-    other term is even, and an odd prime p with p2 < p < 2**16 divides
-    a + kQ exactly when k = -a/Q (mod p).  Two rules keep the scan
-    exact and small.  A term at or below 2**16 may itself be a sieving
-    prime, so it is tested, never sieved.  Each root is computed as the loop
-    reaches its prime, and no per-prime list is kept.
+    other term is even, and an odd prime p with p2 < p < L divides
+    a + kQ exactly when k = -a/Q (mod p).  The limit L grows with the bit
+    length of a, from 2**8 to 2**16 at 768 bits, so small terms do not pay
+    for roots that save no tests.  Two rules keep the scan exact and small.
+    A term at or below 2**16 may itself be a sieving prime, so it is tested,
+    never sieved.  Each root is computed as the loop reaches its prime, and
+    no per-prime list is kept.
     """
     ensure_odd_prime(p1)
     ensure_odd_prime(p2)
@@ -226,15 +228,22 @@ def extend_left_crt(
     )
 
 
+def _dirichlet_sieve_limit(a: int) -> int:
+    # A root costs the same at any term size and a primality test more as the
+    # terms grow, so the sieve reaches further for larger terms: to 2**9 for
+    # ~100-bit terms, up to 2**16 from 768 bits on.
+    return (1 << min(16, 8 + a.bit_length() // 96)) - 1
+
+
 def _progression_candidates(a: int, modulus: int, p2: int, steps: int):
     # The terms a + k*modulus, k < steps, in order, less those above 2**16
     # that the sieve proves composite: the even ones, and those with a prime
-    # factor p, p2 < p < 2**16.  The modulus is odd, a product of primes <= p2.
+    # factor p, p2 < p < L.  The modulus is odd, a product of primes <= p2.
     k = 0
     while k < steps and a + k * modulus <= _TRIAL_CUTOFF:
         yield a + k * modulus
         k += 1
-    primes = sieve_primes(_TRIAL_CUTOFF - 1)
+    primes = sieve_primes(_dirichlet_sieve_limit(a))
     first = bisect_right(primes, p2)
     while k < steps:
         width = min(_DIRICHLET_WINDOW, steps - k)
@@ -281,8 +290,8 @@ def generate_reversed(
     """Extend seed to num_terms by repeated minimal left extension.
 
     Every step runs through searchctl's sharded scan: the result is the same
-    for any worker count, a step starts a process pool only once it outlives
-    its first shard, and checkpoint_path makes the run resumable.  on_term,
+    for any worker count, a step starts a process pool only once it has run
+    for 0.1 s, and checkpoint_path makes the run resumable.  on_term,
     when given, is called with (index, value) for every term as it becomes
     known.
     """
@@ -427,7 +436,7 @@ class TripleCheck:
 class GrowthReport:
     triples: tuple[TripleCheck, ...]
     longest_monotone_run: int
-    growth_ratios: tuple[float, ...]
+    log2_ratios: tuple[float, ...]
     alpha: float
 
 
@@ -437,7 +446,8 @@ def growth_diagnostics(seq: ReversedSequence) -> GrowthReport:
     Checks the even-ratio>=4 consequence on every triple where the premise
     holds (a violation means the input is not a genuine reversed sequence and
     raises), reports the longest run of consecutive premise-holding triples
-    and the per-term ratios, and carries alpha, the positive root of
+    and the log2 of each ratio of neighbouring terms (a float ratio would
+    overflow past 2**1024), and carries alpha, the positive root of
     r**2 + r - 4 = 0.  No asymptotic claim is made: the diagnostics only
     describe the terms they saw.
     """
@@ -462,5 +472,7 @@ def growth_diagnostics(seq: ReversedSequence) -> GrowthReport:
         else:
             run = 0
         triples.append(TripleCheck(i, premise, ratio))
-    ratios = tuple(terms[i + 1] / terms[i] for i in range(len(terms) - 1))
+    ratios = tuple(
+        math.log2(terms[i + 1]) - math.log2(terms[i]) for i in range(len(terms) - 1)
+    )
     return GrowthReport(tuple(triples), longest, ratios, GROWTH_ROOT)

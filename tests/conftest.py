@@ -1,5 +1,6 @@
 import os
 import shutil
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -55,3 +56,24 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return invoke
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The first multiplier submitted to each process pool a search builds,
+    in build order; a pool given no shard is recorded as None."""
+    built = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(None)
+
+        def submit(self, fn, *args, **kwargs):
+            if built[-1] is None:
+                built[-1] = args[-2]  # shards are submitted as (..., lo, hi)
+            return super().submit(fn, *args, **kwargs)
+
+    # run_search imports the pool class when it builds a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+    return built

@@ -227,7 +227,10 @@ def test_arithmetic_kernel_agrees_with_independent_oracles():
         systems += 1
 
 
-def test_search_results_identical_across_workers_and_resume(monkeypatch):
+def test_search_results_identical_across_workers_and_resume(monkeypatch, pools):
+    # with workers > 1 every search hands its shards to a pool at once, so
+    # the small tasks below compare pooled runs with serial ones
+    monkeypatch.setattr("pfib.searchctl._POOL_AFTER_S", 0)
     primes = [p for p in sieve_primes(500) if p > 2]
     rng = random.Random(909)
     for trial in range(50):
@@ -238,7 +241,10 @@ def test_search_results_identical_across_workers_and_resume(monkeypatch):
         monkeypatch.setattr(
             "pfib.searchctl.DEFAULT_SHARD_WIDTH", rng.choice([64, 256, 1024])
         )
+        built = len(pools)
         results = {w: run_search(task, workers=w) for w in (1, 2, 8)}
+        # one pool each for workers 2 and 8, and none for 1
+        assert len(pools) == built + 2 and None not in pools, trial
         reference = results[1]
         for w in (2, 8):
             assert results[w].prime == reference.prime, (trial, w)

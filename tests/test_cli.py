@@ -447,6 +447,19 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == "5 7 3 5 | terminated: 8\n"
 
+    def test_import_leaves_out_the_pool_stack(self):
+        # a search imports the process-pool machinery only to build a pool
+        code = (
+            "import sys, pfib, pfib.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_console_script(self):
         exe = shutil.which("pfib")
         assert exe, "console script not installed"

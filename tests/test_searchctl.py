@@ -2,7 +2,7 @@ import dataclasses
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import types
 
 import pytest
 
@@ -416,15 +416,19 @@ class TestRunSearch:
         result = run_search(SearchTask(7, 7, 100))
         assert result.prime == 7
 
-    def test_pool_matches_serial(self, monkeypatch):
+    def test_pool_matches_serial(self, monkeypatch, pools):
         monkeypatch.setattr("pfib.searchctl.DEFAULT_SHARD_WIDTH", 256)
-        for c, p, bound in [(439, 7, 10**6), (3, 5, 100), (406507, 67, 2 * 10**9)]:
+        monkeypatch.setattr("pfib.searchctl._POOL_AFTER_S", 0)
+        tasks = [(439, 7, 10**6), (3, 5, 100), (406507, 67, 2 * 10**9)]
+        for c, p, bound in tasks:
             task = SearchTask(c, p, bound)
             serial = run_search(task, workers=1)
             pooled = run_search(task, workers=2)
             assert serial.prime == pooled.prime
             assert serial.checkpoint.next_multiplier == pooled.checkpoint.next_multiplier
             assert serial.checkpoint.shards_done == pooled.checkpoint.shards_done
+        # every pooled run scanned its shards in a pool
+        assert len(pools) == len(tasks) and None not in pools
 
     def test_matches_linear_oracle(self, monkeypatch):
         monkeypatch.setattr("pfib.searchctl.DEFAULT_SHARD_WIDTH", 128)
@@ -540,12 +544,15 @@ class TestSuspendResume:
         assert resumed.checkpoint.shards_done == 15
         assert resumed.checkpoint.wall_seconds >= checkpoint.wall_seconds
 
-    def test_every_boundary_gives_same_answer(self):
+    def test_every_boundary_gives_same_answer(self, monkeypatch, pools):
         expected = run_search(self.TASK).prime
+        monkeypatch.setattr("pfib.searchctl._POOL_AFTER_S", 0)
         for stop_after in range(1, 15):
             suspended = run_search(self.TASK, max_shards=stop_after)
             resumed = run_search(self.TASK, resume_from=suspended.checkpoint, workers=2)
             assert resumed.prime == expected, stop_after
+        # each resume scanned its remaining shards in a pool
+        assert len(pools) == 14 and None not in pools
 
     def test_max_shards_counts_new_work_only(self):
         suspended = run_search(self.TASK, max_shards=3)
@@ -580,27 +587,10 @@ class TestSuspendResume:
 
 
 class TestPoolStart:
-    """A search runs in-process until it outlives its first shard."""
+    """A search runs in-process until it has run for _POOL_AFTER_S seconds."""
 
     A16 = 330515394367  # the hit at multiplier 813062, in shard 13
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        # the first multiplier submitted to each pool built, in build order
-        built = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(None)
-
-            def submit(self, fn, *args, **kwargs):
-                if built[-1] is None:
-                    built[-1] = args[-2]  # shards are submitted as (..., lo, hi)
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr("pfib.searchctl.ProcessPoolExecutor", CountingPool)
-        return built
+    TASK16 = SearchTask(406507, 67, 10**12)
 
     def test_single_shard_steps_build_no_pool(self, pools):
         seq = generate_reversed(Seed(3, 5), 16, 2 * 10**9, workers=2)
@@ -608,24 +598,49 @@ class TestPoolStart:
         assert seq.status is ReversedStatus.BOUND_EXHAUSTED
         assert pools == []
 
-    def test_pool_starts_after_first_shard(self, pools):
-        result = run_search(SearchTask(406507, 67, 10**12), workers=2)
+    def test_short_search_builds_no_pool(self, pools):
+        # step 16's 13 shards take well under a millisecond in-process
+        result = run_search(self.TASK16, workers=2)
         assert result.prime == self.A16
         assert result.checkpoint.shards_done == 13
-        # shard 1 ran in-process; the pool took over at shard 2
-        assert pools == [2 + DEFAULT_SHARD_WIDTH]
+        assert pools == []
+
+    def test_pool_takes_every_shard_at_zero(self, pools, monkeypatch):
+        monkeypatch.setattr("pfib.searchctl._POOL_AFTER_S", 0)
+        result = run_search(self.TASK16, workers=2)
+        assert result.prime == self.A16
+        assert result.checkpoint.shards_done == 13
+        assert pools == [2]
 
     def test_resumed_search_goes_straight_to_pool(self, pools):
-        task = SearchTask(406507, 67, 10**12)
-        suspended = run_search(task, max_shards=6)
-        resumed = run_search(task, resume_from=suspended.checkpoint, workers=2)
+        suspended = run_search(self.TASK16, max_shards=1)
+        # a checkpoint that has already run for the threshold resumes pooled
+        spent = dataclasses.replace(
+            suspended.checkpoint, wall_seconds=searchctl._POOL_AFTER_S
+        )
+        resumed = run_search(self.TASK16, resume_from=spent, workers=2)
         assert resumed.prime == self.A16
         assert resumed.checkpoint.shards_done == 13
-        assert pools == [suspended.checkpoint.next_multiplier]
+        assert pools == [2 + DEFAULT_SHARD_WIDTH]
 
-    def test_suspension_after_first_shard_builds_no_pool(self, pools, narrow_shards):
+    def test_suspension_after_first_shard_builds_no_pool(
+        self, pools, narrow_shards, monkeypatch
+    ):
+        # a fake clock that the first shard moves to the threshold, so the
+        # second shard would go to a pool; suspending after one never asks
+        now = [0.0]
+
+        def slow_scan(*args):
+            now[0] += searchctl._POOL_AFTER_S
+            return scan_multiplier_range(*args)
+
+        clock = types.SimpleNamespace(monotonic=lambda: now[0])
+        monkeypatch.setattr(searchctl, "time", clock)
+        monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
         task = SearchTask(439, 7, 10**6)
-        assert not run_search(task, workers=2, max_shards=1).completed
+        suspended = run_search(task, workers=2, max_shards=1)
+        assert not suspended.completed
+        assert suspended.checkpoint.wall_seconds == searchctl._POOL_AFTER_S
         assert pools == []
 
 

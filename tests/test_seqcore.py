@@ -197,6 +197,16 @@ class TestExtendLeftCrt:
                 sieving_prime_hits += p2 < p0 <= 2**16
         assert sieving_prime_hits > 0
 
+    @pytest.mark.parametrize("p2, below_2_16", [(499, True), (599, False)])
+    def test_size_scaled_sieve_matches_full_sieve(self, monkeypatch, p2, below_2_16):
+        # a has 682 bits for p2 = 499, whose sieve stops short of 2**16,
+        # and 808 bits for p2 = 599, whose sieve reaches it
+        p0, system = extend_left_crt(3, p2)
+        limit = seqcore._dirichlet_sieve_limit(system.solution)
+        assert (limit < 2**16 - 1) is below_2_16
+        monkeypatch.setattr(seqcore, "_dirichlet_sieve_limit", lambda a: 2**16 - 1)
+        assert extend_left_crt(3, p2) == (p0, system)
+
     @pytest.mark.parametrize("window", [None, 77, 64])
     def test_max_steps_is_exact(self, monkeypatch, window):
         # (83, 191) has progression index 231: past the first window when
@@ -491,8 +501,18 @@ class TestGrowthDiagnostics:
         report = growth_diagnostics(ReversedSequence((3, 5, 7), ReversedStatus.COMPLETE))
         assert report.triples == (TripleCheck(0, True, 4),)
         assert report.longest_monotone_run == 1
-        assert report.growth_ratios == (5 / 3, 7 / 5)
+        assert report.log2_ratios == pytest.approx((math.log2(5 / 3), math.log2(7 / 5)))
         assert report.alpha == GROWTH_ROOT
+
+    def test_ratio_past_float_range(self):
+        # the third term is about 1.2 * 2**1100 times the second: no float
+        big = 6 * 2**1100 - 5
+        seq = ReversedSequence((3, 5, big), ReversedStatus.COMPLETE)
+        report = growth_diagnostics(seq)
+        assert report.triples == (TripleCheck(0, True, 2**1101),)
+        assert report.log2_ratios == pytest.approx(
+            (math.log2(5 / 3), 1100 + math.log2(6 / 5))
+        )
 
     def test_premise_can_fail(self):
         # 3 + 11 = 14 is exactly 2 * 7: the premise is strict, so it fails
