@@ -16,10 +16,14 @@ completed and the result is bit-identical for any worker count.  Every
 minimal left extension in the package runs through `run_search`; a search
 runs in-process for its first 0.1 s (a resumed checkpoint's time counts) and
 starts a process pool only after that, so a short search never pays for one.
+A checkpoint is written only where it saves work: every 30 s of a search, and
+at once on suspension or interrupt.  A search that finishes sooner leaves no
+file, and one killed outright loses at most the last 30 s of its progress.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -53,7 +57,8 @@ __all__ = [
 
 DEFAULT_SHARD_WIDTH = 1 << 16
 CHECKPOINT_FORMAT_VERSION = 2
-# Seconds between checkpoint writes while waiting on the process pool.
+# Seconds from a search's start or last checkpoint write to its next
+# progress write: the most work a search killed outright can lose.
 _CHECKPOINT_INTERVAL = 30.0
 # Seconds a search runs in-process before its shards go to a process pool.
 # Starting and draining a pool costs about 9 ms, so a search that settles
@@ -298,6 +303,15 @@ def _even_ceil(m: int) -> int:
     return m if m % 2 == 0 else m + 1
 
 
+def _check_writable_directory(path: str) -> None:
+    # a bad path fails before any scan, not at the first write 30 s later
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "no such checkpoint directory", path)
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(errno.EACCES, "checkpoint directory not writable", path)
+
+
 def run_search(
     task: SearchTask,
     resume_from: Checkpoint | None = None,
@@ -314,11 +328,18 @@ def run_search(
     outcome does not depend on `workers`.  Shards run in-process until the
     search has run for 0.1 s (a resumed checkpoint's `wall_seconds` count);
     after that, with `workers` > 1, the remaining shards go to a process pool
-    of that size.  With a `checkpoint_path`, state is written after every
-    finalized shard and on a 30 s timer while waiting; `max_shards` suspends
-    the run after that many shards, 0 before any (the deterministic stand-in
-    for killing the process).  Resuming with a checkpoint for a different
-    task raises CheckpointError.
+    of that size.  `max_shards` suspends the run after that many shards, 0
+    before any (the deterministic stand-in for killing the process).
+
+    With a `checkpoint_path`, whose directory must exist and be writable
+    before any shard is scanned, state is written only where the write
+    saves work.  Progress is written 30 s after the call started or after
+    its last write, whether shards run in-process or in the pool.  A
+    suspension by `max_shards` and a KeyboardInterrupt write at once.  A hit
+    or an exhaustion updates the file this call resumed from or wrote, and
+    creates none.  So a run killed outright loses at most the last 30 s of
+    its search, and a search shorter than that leaves no file.  Resuming
+    with a checkpoint for a different task raises CheckpointError.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {_show(workers)}")
@@ -331,12 +352,18 @@ def run_search(
     start.validate()
     if start.best_found is not None or max_shards == 0:
         return SearchResult(start)
+    # a completion only updates a file this call resumed from or wrote, so
+    # a search that settles before its first due write leaves none
+    on_disk = False
+    if checkpoint_path is not None:
+        _check_writable_directory(checkpoint_path)
+        on_disk = resume_from is not None and os.path.exists(checkpoint_path)
     shards_done = shards_before = start.shards_done
 
     m0 = _least_multiplier(task.constraint_prime, task.partner)
     m_next = max(start.next_multiplier, _even_ceil(m0))
     m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
-    started = time.monotonic()
+    started = last_write = time.monotonic()
 
     def snapshot(next_m: int, best: int | None) -> Checkpoint:
         return Checkpoint(
@@ -347,10 +374,23 @@ def run_search(
             wall_seconds=start.wall_seconds + (time.monotonic() - started),
         )
 
-    def emit(checkpoint: Checkpoint) -> Checkpoint:
+    def emit(checkpoint: Checkpoint) -> None:
+        nonlocal on_disk, last_write
         if checkpoint_path is not None:
             save_checkpoint(checkpoint, checkpoint_path)
-        return checkpoint
+            on_disk = True
+        last_write = time.monotonic()
+
+    def until_due() -> float:
+        # seconds until the next progress write; the one clock for both paths
+        return last_write + _CHECKPOINT_INTERVAL - time.monotonic()
+
+    def stop(next_m: int, best: int | None) -> SearchResult:
+        # stopping short always writes: the file is what a resume needs
+        result = SearchResult(snapshot(next_m, best))
+        if on_disk or not result.completed:
+            emit(result.checkpoint)
+        return result
 
     scan = partial(scan_multiplier_range, task.constraint_prime, task.partner)
 
@@ -381,7 +421,7 @@ def run_search(
                 hi, future = pending.popleft()
                 while True:
                     try:
-                        hit = future.result(timeout=_CHECKPOINT_INTERVAL)
+                        hit = future.result(timeout=max(until_due(), 0.0))
                         break
                     except FutureTimeout:
                         emit(snapshot(m_next, None))
@@ -395,12 +435,13 @@ def run_search(
                 shards_done += 1
                 if hit is not None:
                     m_hit = (hit + task.partner) // task.constraint_prime
-                    return SearchResult(emit(snapshot(m_hit + 2, hit)))
+                    return stop(m_hit + 2, hit)
                 m_next = _even_ceil(hi)
-                checkpoint = emit(snapshot(m_next, None))
                 if max_shards is not None and shards_done - shards_before >= max_shards:
-                    return SearchResult(checkpoint)
+                    return stop(m_next, None)
+                if until_due() <= 0:
+                    emit(snapshot(m_next, None))
     except KeyboardInterrupt:
-        emit(snapshot(m_next, None))
+        stop(m_next, None)
         raise
-    return SearchResult(emit(snapshot(max(m_next, m_end), None)))
+    return stop(max(m_next, m_end), None)

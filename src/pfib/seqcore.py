@@ -275,7 +275,7 @@ def extend_left_minimal(p1: int, p2: int, bound: int) -> int | None:
     that is not a positive integer.  With p1 == p2 this returns p1, the
     constant extension.
     """
-    return _search_step(p2, p1, bound, workers=1, checkpoint_path=None)
+    return searchctl.run_search(SearchTask(p2, p1, bound)).prime
 
 
 def generate_reversed(
@@ -291,9 +291,12 @@ def generate_reversed(
 
     Every step runs through searchctl's sharded scan: the result is the same
     for any worker count, a step starts a process pool only once it has run
-    for 0.1 s, and checkpoint_path makes the run resumable.  on_term,
-    when given, is called with (index, value) for every term as it becomes
-    known.
+    for 0.1 s, and checkpoint_path makes the run resumable.  A file found at
+    checkpoint_path is read once, before the first step; the step whose task
+    it holds resumes from it, the steps before that one run without a file,
+    and a file for no step of this run is left alone.  A step that finishes
+    within the search's 30 s write interval writes no file.  on_term, when
+    given, is called with (index, value) for every term as it becomes known.
     """
     if num_terms < 2:
         raise ValueError(f"num_terms must be at least 2, got {_show(num_terms)}")
@@ -303,10 +306,27 @@ def generate_reversed(
     if on_term is not None:
         on_term(0, terms[0])
         on_term(1, terms[1])
+    # the file's state until its step runs; read once the seed terms have
+    # been streamed, so a refused file errors after them, as a step would
+    stored = None
+    if num_terms > 2 and checkpoint_path is not None:
+        if os.path.exists(checkpoint_path):
+            stored = searchctl.load_checkpoint(checkpoint_path)
     while len(terms) < num_terms:
-        nxt = _search_step(
-            terms[-2], terms[-1], per_step_bound, workers, checkpoint_path
-        )
+        task = SearchTask(terms[-2], terms[-1], per_step_bound)
+        resume, step_path = None, checkpoint_path
+        if stored is not None and stored.task == task:
+            resume, stored = stored, None
+        elif stored is not None:
+            step_path = None  # the file belongs to another step; leave it be
+        nxt = searchctl.run_search(
+            task, resume_from=resume, workers=workers, checkpoint_path=step_path
+        ).prime
+        if step_path is not None:
+            try:
+                os.remove(step_path)
+            except FileNotFoundError:
+                pass
         if nxt is None:
             return ReversedSequence(
                 tuple(terms),
@@ -318,34 +338,6 @@ def generate_reversed(
             on_term(len(terms), nxt)
         terms.append(nxt)
     return ReversedSequence(tuple(terms), ReversedStatus.COMPLETE)
-
-
-def _search_step(
-    constraint: int,
-    partner: int,
-    bound: int,
-    workers: int,
-    checkpoint_path: str | None,
-) -> int | None:
-    task = SearchTask(constraint, partner, bound)
-    resume = None
-    step_path = checkpoint_path
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        stored = searchctl.load_checkpoint(checkpoint_path)
-        if stored.task == task:
-            resume = stored
-        else:
-            # checkpoint belongs to some other step of this run; leave it be
-            step_path = None
-    result = searchctl.run_search(
-        task, resume_from=resume, workers=workers, checkpoint_path=step_path
-    )
-    if step_path is not None:
-        try:
-            os.remove(step_path)
-        except FileNotFoundError:
-            pass
-    return result.prime
 
 
 def index_recurrence(k: int) -> list[int]:
@@ -413,7 +405,11 @@ def find_prime_ap(length: int, search_limit: int) -> PrimeAp | None:
         probe = is_prime
     for first in sieve_primes(search_limit):
         for difference in range(1, search_limit + 1):
-            if all(probe(first + j * difference) for j in range(1, length)):
+            # most differences fail at the second term: test it before
+            # building the generator for the rest
+            if probe(first + difference) and all(
+                probe(first + j * difference) for j in range(2, length)
+            ):
                 return PrimeAp(first, difference, length)
     return None
 

@@ -1,8 +1,11 @@
 import os
 import shutil
+import types
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+
+from pfib import searchctl
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -77,3 +80,27 @@ def pools(monkeypatch):
     # run_search imports the pool class when it builds a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     return built
+
+
+@pytest.fixture
+def search_clock(monkeypatch):
+    """A fake clock for searchctl, held in a one-item list that tests move
+    by hand; it stands still unless a test moves it."""
+    now = [0.0]
+    clock = types.SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(searchctl, "time", clock)
+    return now
+
+
+@pytest.fixture
+def saves(monkeypatch):
+    """Every checkpoint written through searchctl.save_checkpoint, in order."""
+    written = []
+    real_save = searchctl.save_checkpoint
+
+    def recording_save(checkpoint, path):
+        written.append(checkpoint)
+        real_save(checkpoint, path)
+
+    monkeypatch.setattr(searchctl, "save_checkpoint", recording_save)
+    return written

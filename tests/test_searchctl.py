@@ -2,7 +2,6 @@ import dataclasses
 import json
 import os
 import random
-import types
 
 import pytest
 
@@ -586,6 +585,109 @@ class TestSuspendResume:
         assert revived.prime == 406507
 
 
+@pytest.mark.usefixtures("narrow_shards")
+class TestCheckpointWrites:
+    """A search writes its checkpoint only where the write saves work: a
+    _CHECKPOINT_INTERVAL after its start or its last write, and at once on
+    suspension or interrupt.  A completion only updates a file on disk."""
+
+    TASK = SearchTask(439, 7, 10**6)  # 15 shards of width 64, the hit in the last
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The lower end of every shard scanned, in order."""
+        seen = []
+
+        def recording_scan(c, partner, lo, hi):
+            seen.append(lo)
+            return scan_multiplier_range(c, partner, lo, hi)
+
+        monkeypatch.setattr(searchctl, "scan_multiplier_range", recording_scan)
+        return seen
+
+    def test_search_finished_before_the_interval_writes_nothing(
+        self, tmp_path, search_clock, saves
+    ):
+        path = str(tmp_path / "cp.json")
+        assert run_search(self.TASK, checkpoint_path=path).prime == 406507
+        exhausting = SearchTask(406507, 67, 2 * 10**9)
+        assert run_search(exhausting, checkpoint_path=path).exhausted
+        # a resume from memory has no file to update either
+        suspended = run_search(self.TASK, max_shards=3)
+        resumed = run_search(
+            self.TASK, resume_from=suspended.checkpoint, checkpoint_path=path
+        )
+        assert resumed.prime == 406507
+        assert saves == []
+        assert not os.path.exists(path)
+
+    def test_zero_interval_writes_every_shard(self, tmp_path, monkeypatch, saves):
+        monkeypatch.setattr(searchctl, "_CHECKPOINT_INTERVAL", 0)
+        path = str(tmp_path / "cp.json")
+        result = run_search(self.TASK, checkpoint_path=path)
+        assert [c.next_multiplier for c in saves] == [
+            2 + 64 * k for k in range(1, 15)
+        ] + [928]
+        assert [c.shards_done for c in saves] == list(range(1, 16))
+        assert load_checkpoint(path) == result.checkpoint
+        assert result.checkpoint.best_found == 406507
+
+    def test_progress_written_when_the_interval_passes(
+        self, tmp_path, search_clock, saves, monkeypatch
+    ):
+        # every shard moves the clock a third of the interval on
+        def slow_scan(*args):
+            search_clock[0] += searchctl._CHECKPOINT_INTERVAL / 3
+            return scan_multiplier_range(*args)
+
+        monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
+        path = str(tmp_path / "cp.json")
+        result = run_search(self.TASK, checkpoint_path=path)
+        first = saves[0]
+        assert first.next_multiplier == 2 + 64 * 3
+        assert (first.shards_done, first.best_found) == (3, None)
+        assert first.wall_seconds == searchctl._CHECKPOINT_INTERVAL
+        # the clock restarts at each write; the hit updates the file
+        assert [c.next_multiplier for c in saves] == [
+            2 + 64 * k for k in (3, 6, 9, 12)
+        ] + [928]
+        assert load_checkpoint(path) == result.checkpoint
+
+    def test_interrupt_writes_the_state_so_far(self, tmp_path, search_clock, scans):
+        real_scan = searchctl.scan_multiplier_range
+
+        def interrupted_scan(*args):
+            if len(scans) == 3:
+                raise KeyboardInterrupt
+            return real_scan(*args)
+
+        path = str(tmp_path / "cp.json")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(searchctl, "scan_multiplier_range", interrupted_scan)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(self.TASK, checkpoint_path=path)
+        on_disk = load_checkpoint(path)
+        assert on_disk.next_multiplier == 2 + 64 * 3
+        assert (on_disk.shards_done, on_disk.best_found) == (3, None)
+        resumed = run_search(self.TASK, resume_from=on_disk)
+        assert resumed.prime == 406507
+        assert resumed.checkpoint.shards_done == 15
+
+    def test_bad_directory_fails_before_any_scan(self, tmp_path, scans):
+        path = str(tmp_path / "missing" / "cp.json")
+        with pytest.raises(FileNotFoundError, match="checkpoint directory") as info:
+            run_search(self.TASK, checkpoint_path=path)
+        assert path in str(info.value)
+        path = str(tmp_path / "cp.json")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "access", lambda *args, **kwargs: False)
+            with pytest.raises(PermissionError, match="not writable") as info:
+                run_search(self.TASK, checkpoint_path=path)
+        assert path in str(info.value)
+        assert scans == []
+        assert not os.path.exists(path)
+
+
 class TestPoolStart:
     """A search runs in-process until it has run for _POOL_AFTER_S seconds."""
 
@@ -624,18 +726,14 @@ class TestPoolStart:
         assert pools == [2 + DEFAULT_SHARD_WIDTH]
 
     def test_suspension_after_first_shard_builds_no_pool(
-        self, pools, narrow_shards, monkeypatch
+        self, pools, narrow_shards, search_clock, monkeypatch
     ):
         # a fake clock that the first shard moves to the threshold, so the
         # second shard would go to a pool; suspending after one never asks
-        now = [0.0]
-
         def slow_scan(*args):
-            now[0] += searchctl._POOL_AFTER_S
+            search_clock[0] += searchctl._POOL_AFTER_S
             return scan_multiplier_range(*args)
 
-        clock = types.SimpleNamespace(monotonic=lambda: now[0])
-        monkeypatch.setattr(searchctl, "time", clock)
         monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
         task = SearchTask(439, 7, 10**6)
         suspended = run_search(task, workers=2, max_shards=1)

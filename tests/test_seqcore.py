@@ -394,6 +394,39 @@ class TestGenerateReversedCheckpoints:
         with open(path, "rb") as handle:
             assert handle.read() == before
 
+    def test_steps_finished_before_the_interval_write_nothing(
+        self, tmp_path, search_clock, saves
+    ):
+        path = str(tmp_path / "state.json")
+        seq = generate_reversed(Seed(3, 5), 16, self.BOUND, checkpoint_path=path)
+        assert seq.terms == A255562
+        assert saves == []
+        assert not os.path.exists(path)
+
+    def test_resume_loads_the_file_once(
+        self, tmp_path, monkeypatch, search_clock, saves
+    ):
+        path = str(tmp_path / "state.json")
+        task = searchctl.SearchTask(406507, 67, self.BOUND)
+        searchctl.save_checkpoint(searchctl.Checkpoint(task, 4096, None, 1, 5.0), path)
+        saves.clear()
+        loads = []
+        real_load = searchctl.load_checkpoint
+
+        def recording_load(file):
+            loads.append(file)
+            return real_load(file)
+
+        monkeypatch.setattr(searchctl, "load_checkpoint", recording_load)
+        seq = generate_reversed(Seed(3, 5), 16, self.BOUND, checkpoint_path=path)
+        assert seq.terms == A255562 and seq.at_index == 15
+        assert loads == [path]
+        # the step-16 search updates the file it resumed from, which then goes
+        assert [(c.task, c.next_multiplier, c.shards_done) for c in saves] == [
+            (task, 4920, 2)
+        ]
+        assert not os.path.exists(path)
+
 
 class TestIndexRecurrence:
     @pytest.mark.parametrize("k,expected", [
@@ -451,10 +484,16 @@ class TestFindPrimeAp:
         else:
             assert (ap.first, ap.difference, ap.length) == (*expected, length)
 
-    @pytest.mark.parametrize("length,limit", [(3, 50), (4, 60), (5, 120)])
+    @pytest.mark.parametrize("length,limit", [(3, 50), (4, 60)] + [
+        (length, limit)
+        for length in range(2, 10)
+        for limit in (1, 2, 3, 10, 57, 120)
+    ])
     def test_matches_exhaustive_oracle(self, length, limit):
+        # the oracle finds no progression for short limits and long lengths
         ap = find_prime_ap(length, limit)
-        assert (ap.first, ap.difference) == oracles.prime_ap_scan(length, limit)
+        found = None if ap is None else (ap.first, ap.difference)
+        assert found == oracles.prime_ap_scan(length, limit)
 
     def test_rejects_short_length(self):
         with pytest.raises(ValueError, match="at least 2"):
