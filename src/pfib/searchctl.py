@@ -16,9 +16,10 @@ completed and the result is bit-identical for any worker count.  Every
 minimal left extension in the package runs through `run_search`; a search
 runs in-process for its first 0.1 s (a resumed checkpoint's time counts) and
 starts a process pool only after that, so a short search never pays for one.
-A checkpoint is written only where it saves work: every 30 s of a search, and
-at once on suspension or interrupt.  A search that finishes sooner leaves no
-file, and one killed outright loses at most the last 30 s of its progress.
+A checkpoint records progress only, never an answer: it is written every 30 s
+of a search, and at once on suspension or interrupt.  A finished search
+removes the file it resumed from or wrote, so one that finishes sooner leaves
+no file, and one killed outright loses at most the last 30 s of its progress.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import sys
 import time
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
 from math import isqrt
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 DEFAULT_SHARD_WIDTH = 1 << 16
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 # Seconds from a search's start or last checkpoint write to its next
 # progress write: the most work a search killed outright can lose.
 _CHECKPOINT_INTERVAL = 30.0
@@ -97,33 +98,28 @@ class SearchTask:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Resumable search state; its fields are also the checkpoint file format.
+    """Resumable search progress; its fields are also the checkpoint file format.
 
     next_multiplier is the smallest even multiplier not yet fully processed;
     everything below it has been exhaustively tested, and it lies at most one
-    even step past the task's multiplier limit.  best_found, when set, is the
-    search's answer (it arose from a multiplier below next_multiplier and all
-    smaller multipliers are done, so it is the global minimum).  `validate`
-    holds every rule on these values, for a checkpoint read from a file and
-    one built in memory alike.
+    even step past the task's multiplier limit.  `validate` holds every rule
+    on these values, for a checkpoint read from a file and one built in
+    memory alike.
     """
 
     task: SearchTask
     next_multiplier: int
-    best_found: int | None
     shards_done: int
     wall_seconds: float
 
     def validate(self) -> None:
-        next_m, best, wall = self.next_multiplier, self.best_found, self.wall_seconds
+        next_m, wall = self.next_multiplier, self.wall_seconds
         if not _is_int(next_m):
             raise CheckpointError(f"next_multiplier must be an integer, got {next_m!r}")
         if not _is_int(self.shards_done):
             raise CheckpointError(
                 f"shards_done must be an integer, got {self.shards_done!r}"
             )
-        if best is not None and not _is_int(best):
-            raise CheckpointError(f"best_found must be an integer or null, got {best!r}")
         if not (_is_int(wall) or isinstance(wall, float)):
             raise CheckpointError(f"wall_seconds must be a number, got {wall!r}")
         task = self.task
@@ -141,47 +137,24 @@ class Checkpoint:
         # one range test refuses NaN, infinities, negatives and huge integers
         if not 0 <= wall <= sys.float_info.max:
             raise CheckpointError(f"non-finite or negative wall_seconds {_show(wall)}")
-        if best is None:
-            return
-        if best < 3 or best % 2 == 0 or not is_prime(best):
-            raise CheckpointError(f"best_found {_show(best)} is not an odd prime")
-        total = task.partner + best
-        m, rem = divmod(total, task.constraint_prime)
-        if rem or m % 2 or m >= next_m:
-            raise CheckpointError(
-                f"best_found {_show(best)} inconsistent with next_multiplier "
-                f"{_show(next_m)}"
-            )
-        # c divides total; the scan of m alone decides, by the search's own
-        # rule, whether c is its smallest odd prime divisor
-        c = task.constraint_prime
-        try:
-            valid = scan_multiplier_range(c, task.partner, m, m + 1) == best
-        except ValueError as exc:  # its sieving primes pass the sieve ceiling
-            raise CheckpointError(f"constraint {_show(c)} too large") from exc
-        if not valid:
-            raise CheckpointError(
-                f"best_found {_show(best)} fails the divisor property for "
-                f"constraint {_show(c)}"
-            )
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of run_search, read from its final checkpoint: a prime,
-    exhaustion (every multiplier up to the task's limit done), or suspension."""
+    """Outcome of run_search: a prime, exhaustion (every multiplier up to the
+    task's limit done), or suspension, with the search's final progress.
+
+    At a hit the checkpoint's next_multiplier is the hit's own multiplier, so
+    a resume from it finds the same prime in its first shard."""
 
     checkpoint: Checkpoint
-
-    @property
-    def prime(self) -> int | None:
-        return self.checkpoint.best_found
+    prime: int | None
 
     @property
     def completed(self) -> bool:
         checkpoint, task = self.checkpoint, self.checkpoint.task
         limit = multiplier_limit(task.constraint_prime, task.partner, task.bound)
-        return checkpoint.best_found is not None or checkpoint.next_multiplier > limit
+        return self.prime is not None or checkpoint.next_multiplier > limit
 
     @property
     def exhausted(self) -> bool:
@@ -279,12 +252,14 @@ def load_checkpoint(path: str) -> Checkpoint:
         doc = json.loads(data.decode("ascii"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: not valid checkpoint JSON ({exc})") from exc
-    doc_fields = _field_names(Checkpoint) | {"format_version"}
-    if not isinstance(doc, dict) or set(doc) != doc_fields:
+    if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: unexpected document fields")
-    version = doc.pop("format_version")
+    # the version first, so an older format is refused by name, not by its fields
+    version = doc.pop("format_version", None)
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format_version {version!r}")
+    if set(doc) != _field_names(Checkpoint):
+        raise CheckpointError(f"{path}: unexpected document fields")
     raw_task = doc.pop("task")
     if not isinstance(raw_task, dict) or set(raw_task) != _field_names(SearchTask):
         raise CheckpointError(f"{path}: unexpected task fields")
@@ -336,24 +311,24 @@ def run_search(
     saves work.  Progress is written 30 s after the call started or after
     its last write, whether shards run in-process or in the pool.  A
     suspension by `max_shards` and a KeyboardInterrupt write at once.  A hit
-    or an exhaustion updates the file this call resumed from or wrote, and
-    creates none.  So a run killed outright loses at most the last 30 s of
-    its search, and a search shorter than that leaves no file.  Resuming
-    with a checkpoint for a different task raises CheckpointError.
+    or an exhaustion writes nothing: it removes the file this call resumed
+    from or wrote, and touches no other.  So a run killed outright loses at
+    most the last 30 s of its search, and a finished search leaves no file.
+    Resuming with a checkpoint for a different task raises CheckpointError.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {_show(workers)}")
     if max_shards is not None and max_shards < 0:
         raise ValueError(f"max_shards must be >= 0, got {_show(max_shards)}")
     # a fresh search resumes from the state where nothing is done yet
-    start = Checkpoint(task, 2, None, 0, 0.0) if resume_from is None else resume_from
+    start = Checkpoint(task, 2, 0, 0.0) if resume_from is None else resume_from
     if start.task != task:
         raise CheckpointError("checkpoint was written for a different task")
     start.validate()
-    if start.best_found is not None or max_shards == 0:
-        return SearchResult(start)
-    # a completion only updates a file this call resumed from or wrote, so
-    # a search that settles before its first due write leaves none
+    if max_shards == 0:
+        return SearchResult(start, None)
+    # a completion removes only a file this call resumed from or wrote, so
+    # a search that settles before its first due write touches none
     on_disk = False
     if checkpoint_path is not None:
         _check_writable_directory(checkpoint_path)
@@ -365,11 +340,10 @@ def run_search(
     m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
     started = last_write = time.monotonic()
 
-    def snapshot(next_m: int, best: int | None) -> Checkpoint:
+    def snapshot(next_m: int) -> Checkpoint:
         return Checkpoint(
             task=task,
             next_multiplier=_even_ceil(next_m),
-            best_found=best,
             shards_done=shards_done,
             wall_seconds=start.wall_seconds + (time.monotonic() - started),
         )
@@ -385,11 +359,14 @@ def run_search(
         # seconds until the next progress write; the one clock for both paths
         return last_write + _CHECKPOINT_INTERVAL - time.monotonic()
 
-    def stop(next_m: int, best: int | None) -> SearchResult:
-        # stopping short always writes: the file is what a resume needs
-        result = SearchResult(snapshot(next_m, best))
-        if on_disk or not result.completed:
+    def stop(next_m: int, prime: int | None) -> SearchResult:
+        result = SearchResult(snapshot(next_m), prime)
+        if not result.completed:
+            # stopping short always writes: the file is what a resume needs
             emit(result.checkpoint)
+        elif on_disk:
+            with suppress(FileNotFoundError):  # removed by hand meanwhile
+                os.remove(checkpoint_path)
         return result
 
     scan = partial(scan_multiplier_range, task.constraint_prime, task.partner)
@@ -424,7 +401,7 @@ def run_search(
                         hit = future.result(timeout=max(until_due(), 0.0))
                         break
                     except FutureTimeout:
-                        emit(snapshot(m_next, None))
+                        emit(snapshot(m_next))
                 yield hi, hit
         finally:
             pool.shutdown(cancel_futures=True)
@@ -435,12 +412,12 @@ def run_search(
                 shards_done += 1
                 if hit is not None:
                     m_hit = (hit + task.partner) // task.constraint_prime
-                    return stop(m_hit + 2, hit)
+                    return stop(m_hit, hit)
                 m_next = _even_ceil(hi)
                 if max_shards is not None and shards_done - shards_before >= max_shards:
                     return stop(m_next, None)
                 if until_due() <= 0:
-                    emit(snapshot(m_next, None))
+                    emit(snapshot(m_next))
     except KeyboardInterrupt:
         stop(m_next, None)
         raise

@@ -294,9 +294,10 @@ def generate_reversed(
     for 0.1 s, and checkpoint_path makes the run resumable.  A file found at
     checkpoint_path is read once, before the first step; the step whose task
     it holds resumes from it, the steps before that one run without a file,
-    and a file for no step of this run is left alone.  A step that finishes
-    within the search's 30 s write interval writes no file.  on_term, when
-    given, is called with (index, value) for every term as it becomes known.
+    and a file for no step of this run is left alone.  A finished step
+    removes the file it resumed from or wrote, and one that finishes within
+    the search's 30 s write interval writes none.  on_term, when given, is
+    called with (index, value) for every term as it becomes known.
     """
     if num_terms < 2:
         raise ValueError(f"num_terms must be at least 2, got {_show(num_terms)}")
@@ -322,11 +323,6 @@ def generate_reversed(
         nxt = searchctl.run_search(
             task, resume_from=resume, workers=workers, checkpoint_path=step_path
         ).prime
-        if step_path is not None:
-            try:
-                os.remove(step_path)
-            except FileNotFoundError:
-                pass
         if nxt is None:
             return ReversedSequence(
                 tuple(terms),

@@ -40,12 +40,22 @@ def bfile_path() -> str:
     return os.path.join(FIXTURE_DIR, "b255562.txt")
 
 
+def _fixture_copy(tmp_path, name: str) -> str:
+    path = tmp_path / name
+    shutil.copy(os.path.join(FIXTURE_DIR, name), path)
+    return str(path)
+
+
 @pytest.fixture
 def checkpoint_v1(tmp_path) -> str:
     """A copy of a format-1 step-16 checkpoint, suspended after one shard."""
-    path = tmp_path / "checkpoint_v1.json"
-    shutil.copy(os.path.join(FIXTURE_DIR, "checkpoint_v1.json"), path)
-    return str(path)
+    return _fixture_copy(tmp_path, "checkpoint_v1.json")
+
+
+@pytest.fixture
+def checkpoint_v2(tmp_path) -> str:
+    """A copy of a format-2 step-16 checkpoint, suspended after one shard."""
+    return _fixture_copy(tmp_path, "checkpoint_v2.json")
 
 
 @pytest.fixture

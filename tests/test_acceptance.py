@@ -254,7 +254,6 @@ def test_search_results_identical_across_workers_and_resume(monkeypatch, pools):
                 == reference.checkpoint.next_multiplier
             )
             assert results[w].checkpoint.shards_done == reference.checkpoint.shards_done
-            assert results[w].checkpoint.best_found == reference.checkpoint.best_found
 
         # the linear-scan oracle sees the same least candidate
         assert reference.prime == oracles.reversed_step_scan(

@@ -241,10 +241,9 @@ class TestReversedCommand:
         # claims multipliers up to 10**6 are done would skip the answer
         path = tmp_path / "state.json"
         text = json.dumps({
-            "format_version": 2,
+            "format_version": 3,
             "task": {"constraint_prime": 439, "partner": 7, "bound": 10**7},
-            "next_multiplier": 10**6, "best_found": None,
-            "shards_done": 16, "wall_seconds": 0.5,
+            "next_multiplier": 10**6, "shards_done": 16, "wall_seconds": 0.5,
         })
         path.write_text(text)
         code, _, err = run_cli(
@@ -254,17 +253,24 @@ class TestReversedCommand:
         assert str(path) in err and "multiplier limit" in err
         assert path.read_text() == text
 
-    def test_version_1_checkpoint_is_refused(self, run_cli, checkpoint_v1):
-        with open(checkpoint_v1, "rb") as handle:
+    @staticmethod
+    def check_old_format_refused(run_cli, path, version):
+        with open(path, "rb") as handle:
             before = handle.read()
         code, _, err = run_cli(
             "reversed", "3", "5", "--terms", "17", "--bound", "1_000_000_000_000",
-            "--checkpoint", checkpoint_v1,
+            "--checkpoint", path,
         )
         assert code == 2 and err.startswith("error:")
-        assert checkpoint_v1 in err and "unsupported format_version 1" in err
-        with open(checkpoint_v1, "rb") as handle:
+        assert path in err and f"unsupported format_version {version}" in err
+        with open(path, "rb") as handle:
             assert handle.read() == before
+
+    def test_version_1_checkpoint_is_refused(self, run_cli, checkpoint_v1):
+        self.check_old_format_refused(run_cli, checkpoint_v1, 1)
+
+    def test_version_2_checkpoint_is_refused(self, run_cli, checkpoint_v2):
+        self.check_old_format_refused(run_cli, checkpoint_v2, 2)
 
     def test_checkpoint_in_missing_directory(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "state.json"

@@ -2,16 +2,18 @@ import dataclasses
 import json
 import os
 import random
+import re
 
 import pytest
 
 import oracles
 from pfib import searchctl
-from pfib.arith import is_prime, sieve_primes
+from pfib.arith import sieve_primes
 from pfib.searchctl import (
     DEFAULT_SHARD_WIDTH,
     Checkpoint,
     CheckpointError,
+    SearchResult,
     SearchTask,
     _odd_sieve_primes,
     load_checkpoint,
@@ -136,16 +138,45 @@ class TestScanMultiplierRange:
                 results.append(expected)
         assert None in results and any(results)
 
+    # u is the odd part of m = (7 + r) / 439
+    @pytest.mark.parametrize("r", [
+        348559,  # u = 397, a prime below the constraint
+        390703,  # u = 445 = 5 * 89, composite below 439**2
+        406507,  # u = 463, a prime
+        169530379,  # u = 193087 = 293 * 659, past 439**2
+        201586159,  # u = 229597 = 439 * 523, past 439**2
+    ])
+    def test_single_multiplier_matches_oracle(self, r):
+        m = (7 + r) // 439
+        expected = r if oracles.sopd_trial(7 + r) == 439 else None
+        assert scan_multiplier_range(439, 7, m, m + 2) == expected
 
-def make_checkpoint(best=None, next_multiplier=100, shards=2, wall=1.5):
+    def test_every_prime_candidate_matches_oracle(self):
+        # every prime candidate r = 13*m - 3 with m < 20000, whose odd part
+        # u covers u < 13, 13 <= u < 13**2 and u >= 13**2: the scan of m
+        # alone gives r iff 13 is the oracle's smallest odd prime divisor
+        c, partner = 13, 3
+        outcomes = set()
+        for m in range(2, 20_000, 2):
+            r = c * m - partner
+            if not oracles.trial_is_prime(r):
+                continue
+            valid = oracles.sopd_trial(partner + r) == c
+            outcomes.add(valid)
+            expected = r if valid else None
+            assert scan_multiplier_range(c, partner, m, m + 2) == expected, m
+        assert outcomes == {True, False}
+
+
+def make_checkpoint(next_multiplier=100, shards=2, wall=1.5):
     task = SearchTask(439, 7, 10**6)
-    return Checkpoint(task, next_multiplier, best, shards, wall)
+    return Checkpoint(task, next_multiplier, shards, wall)
 
 
 class TestCheckpointIO:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "cp.json")
-        checkpoint = make_checkpoint(best=406507, next_multiplier=928, shards=15)
+        checkpoint = make_checkpoint(next_multiplier=926, shards=15)
         save_checkpoint(checkpoint, path)
         assert load_checkpoint(path) == checkpoint
         assert not os.path.exists(path + ".tmp")
@@ -156,10 +187,9 @@ class TestCheckpointIO:
         with open(path) as handle:
             doc = json.load(handle)
         assert doc == {
-            "format_version": 2,
+            "format_version": 3,
             "task": {"constraint_prime": 439, "partner": 7, "bound": 10**6},
             "next_multiplier": 100,
-            "best_found": None,
             "shards_done": 2,
             "wall_seconds": 1.5,
         }
@@ -173,7 +203,7 @@ class TestCheckpointIO:
     def test_equal_prime_task_roundtrip(self, tmp_path):
         path = str(tmp_path / "cp.json")
         task = SearchTask(7, 7, 100)
-        save_checkpoint(Checkpoint(task, 2, None, 0, 0.0), path)
+        save_checkpoint(Checkpoint(task, 2, 0, 0.0), path)
         assert load_checkpoint(path).task == task
 
     def test_save_refuses_invalid_state(self, tmp_path):
@@ -186,11 +216,11 @@ class TestCheckpointIO:
         path = str(tmp_path / "cp.json")
         task = SearchTask(439, 7, 10**6)
         with pytest.raises(CheckpointError, match="must be an integer"):
-            save_checkpoint(Checkpoint(task, "100", None, 2, 1.5), path)
+            save_checkpoint(Checkpoint(task, "100", 2, 1.5), path)
         assert not os.path.exists(path)
 
     @pytest.mark.parametrize("field", [
-        "next_multiplier", "shards_done", "wall_seconds", "best_found",
+        "next_multiplier", "shards_done", "wall_seconds",
     ])
     def test_refuses_integers_past_str_limit(self, tmp_path, field):
         # the messages must not format these values digit by digit
@@ -219,13 +249,23 @@ class TestCheckpointIO:
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "nope.json"))
 
+    def test_readme_example_loads(self, tmp_path):
+        # the README's example file must stay a valid checkpoint of this format
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as handle:
+            (example,) = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
+        path = tmp_path / "cp.json"
+        path.write_text(example)
+        checkpoint = load_checkpoint(str(path))
+        # a finished search leaves no file, so the example is one in progress
+        assert not SearchResult(checkpoint, None).completed
+
 
 def _valid_doc():
     return {
-        "format_version": 2,
+        "format_version": 3,
         "task": {"constraint_prime": 439, "partner": 7, "bound": 10**6},
         "next_multiplier": 100,
-        "best_found": None,
         "shards_done": 2,
         "wall_seconds": 1.5,
     }
@@ -258,19 +298,30 @@ class TestLoadRejections:
         self.check(tmp_path, lambda d: d["task"].pop("bound"), "task fields")
 
     def test_wrong_format_version(self, tmp_path):
-        self.check(
-            tmp_path, lambda d: d.update(format_version=1), "format_version"
-        )
+        for version in (1, 2, 4):
+            self.check(
+                tmp_path, lambda d: d.update(format_version=version), "format_version"
+            )
+
+    @staticmethod
+    def check_old_format_refused(path, version):
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(
+            CheckpointError, match=f"unsupported format_version {version}"
+        ) as info:
+            load_checkpoint(path)
+        assert path in str(info.value)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
 
     def test_version_1_document_is_refused(self, checkpoint_v1):
         # format 1 carried the shard width in the task; no loader reads it
-        with open(checkpoint_v1, "rb") as handle:
-            before = handle.read()
-        with pytest.raises(CheckpointError, match="unsupported format_version 1") as info:
-            load_checkpoint(checkpoint_v1)
-        assert checkpoint_v1 in str(info.value)
-        with open(checkpoint_v1, "rb") as handle:
-            assert handle.read() == before
+        self.check_old_format_refused(checkpoint_v1, 1)
+
+    def test_version_2_document_is_refused(self, checkpoint_v2):
+        # format 2 carried best_found, the search's answer; no loader reads it
+        self.check_old_format_refused(checkpoint_v2, 2)
 
     def test_bool_masquerading_as_int(self, tmp_path):
         self.check(
@@ -285,11 +336,6 @@ class TestLoadRejections:
     def test_string_wall_seconds(self, tmp_path):
         self.check(
             tmp_path, lambda d: d.update(wall_seconds="fast"), "must be a number"
-        )
-
-    def test_string_best_found(self, tmp_path):
-        self.check(
-            tmp_path, lambda d: d.update(best_found="7"), "integer or null"
         )
 
     def test_odd_next_multiplier(self, tmp_path):
@@ -323,30 +369,6 @@ class TestLoadRejections:
             save_checkpoint(make_checkpoint(wall=value), path)
         assert not os.path.exists(path)
 
-    def test_composite_best_found(self, tmp_path):
-        self.check(tmp_path, lambda d: d.update(best_found=406509), "odd prime")
-
-    def test_best_found_wrong_residue(self, tmp_path):
-        # 104729 is prime but 7 + 104729 is not divisible by 439
-        self.check(
-            tmp_path, lambda d: d.update(best_found=104729), "inconsistent"
-        )
-
-    def test_best_found_above_next_multiplier(self, tmp_path):
-        # 406507 comes from multiplier 926, not yet covered by next=900
-        def mutate(doc):
-            doc.update(best_found=406507, next_multiplier=900)
-
-        self.check(tmp_path, mutate, "inconsistent")
-
-    def test_best_found_failing_divisor_property(self, tmp_path):
-        # multiplier 12 gives the prime 5261 = 439*12 - 7, but
-        # 7 + 5261 = 4 * 3 * 439: the constraint 439 is not smallest
-        def mutate(doc):
-            doc.update(best_found=5261)
-
-        self.check(tmp_path, mutate, "divisor property")
-
     def test_invalid_task_values(self, tmp_path):
         self.check(
             tmp_path, lambda d: d["task"].update(constraint_prime=4), "invalid task"
@@ -364,7 +386,7 @@ class TestLoadRejections:
 
     @pytest.mark.parametrize("old,new", [
         ("1.5", "1" * 5000),  # past the int-string limit: a plain ValueError
-        ("null", '"\u00e9"'),
+        ("1.5", '"\u00e9"'),
     ], ids=["int_past_str_limit", "non_ascii"])
     def test_decode_error_names_the_path(self, tmp_path, old, new):
         path = tmp_path / "cp.json"
@@ -385,14 +407,13 @@ class TestRunSearch:
         result = run_search(SearchTask(3, 5, 100))
         assert result.prime == 7
         assert result.completed and not result.exhausted
-        assert result.checkpoint.best_found == 7
-        assert result.checkpoint.next_multiplier == 6
+        assert result.checkpoint.next_multiplier == 4
         assert result.checkpoint.shards_done == 1
 
     def test_deep_hit(self):
         result = run_search(SearchTask(439, 7, 10**6))
         assert result.prime == 406507
-        assert result.checkpoint.next_multiplier == 928
+        assert result.checkpoint.next_multiplier == 926
 
     def test_exhaustion(self):
         result = run_search(SearchTask(406507, 67, 2_000_000_000))
@@ -455,7 +476,7 @@ class TestRunSearch:
         assert result.prime == 967
         assert result.checkpoint.shards_done == 1
         # a checkpoint below the least multiplier resumes there
-        resumed = run_search(task, resume_from=Checkpoint(task, 2, None, 0, 0.0))
+        resumed = run_search(task, resume_from=Checkpoint(task, 2, 0, 0.0))
         assert resumed.prime == 967
         assert resumed.checkpoint.shards_done == 1
 
@@ -490,7 +511,7 @@ class TestRunSearch:
         task = SearchTask(439, 7, 10**6)
         path = str(tmp_path / "cp.json")
         result = run_search(task, checkpoint_path=path, max_shards=0)
-        assert result.checkpoint == Checkpoint(task, 2, None, 0, 0.0)
+        assert result.checkpoint == Checkpoint(task, 2, 0, 0.0)
         assert not result.completed
         assert not os.path.exists(path)
         suspended = run_search(task, max_shards=2)
@@ -510,13 +531,7 @@ class TestRunSearch:
     def test_resume_refuses_wrong_types(self):
         task = SearchTask(439, 7, 10**6)
         with pytest.raises(CheckpointError, match="must be an integer"):
-            run_search(task, resume_from=Checkpoint(task, 100, None, None, 1.5))
-
-    def test_resume_with_answer_is_instant(self):
-        done = run_search(SearchTask(439, 7, 10**6))
-        again = run_search(SearchTask(439, 7, 10**6), resume_from=done.checkpoint)
-        assert again.prime == 406507
-        assert again.checkpoint == done.checkpoint
+            run_search(task, resume_from=Checkpoint(task, 100, None, 1.5))
 
 
 @pytest.mark.usefixtures("narrow_shards")
@@ -567,29 +582,38 @@ class TestSuspendResume:
             result = run_search(
                 self.TASK, resume_from=state, checkpoint_path=path, max_shards=1
             )
+            if result.completed:
+                break
             on_disk = load_checkpoint(path)
             assert on_disk == result.checkpoint
             seen.append(on_disk.next_multiplier)
-            if result.completed:
-                assert result.prime == 406507
-                assert on_disk.best_found == 406507
-                break
             state = result.checkpoint
         else:
             pytest.fail("search never completed")
-        assert seen == sorted(seen)
-        assert len(seen) == 15
+        assert result.prime == 406507
+        assert seen == [2 + 64 * k for k in range(1, 15)]
+        # the hit removes the file it resumed from
+        assert not os.path.exists(path)
 
-        # a fresh process would pick the answer straight off the disk
-        revived = run_search(self.TASK, resume_from=load_checkpoint(path))
-        assert revived.prime == 406507
+    def test_resume_from_hit_takes_one_shard(self, tmp_path):
+        # a hit's checkpoint stops at the hit's own multiplier, so a resume
+        # from its file finds the same prime and never skips it
+        done = run_search(self.TASK)
+        path = str(tmp_path / "cp.json")
+        save_checkpoint(done.checkpoint, path)
+        again = run_search(self.TASK, resume_from=load_checkpoint(path))
+        assert again.prime == done.prime == 406507
+        assert done.checkpoint.next_multiplier == 926
+        assert again.checkpoint.next_multiplier == 926
+        assert again.checkpoint.shards_done == done.checkpoint.shards_done + 1
 
 
 @pytest.mark.usefixtures("narrow_shards")
 class TestCheckpointWrites:
     """A search writes its checkpoint only where the write saves work: a
     _CHECKPOINT_INTERVAL after its start or its last write, and at once on
-    suspension or interrupt.  A completion only updates a file on disk."""
+    suspension or interrupt.  A completion writes nothing: it removes the
+    file the search resumed from or wrote."""
 
     TASK = SearchTask(439, 7, 10**6)  # 15 shards of width 64, the hit in the last
 
@@ -627,10 +651,31 @@ class TestCheckpointWrites:
         result = run_search(self.TASK, checkpoint_path=path)
         assert [c.next_multiplier for c in saves] == [
             2 + 64 * k for k in range(1, 15)
-        ] + [928]
-        assert [c.shards_done for c in saves] == list(range(1, 16))
-        assert load_checkpoint(path) == result.checkpoint
-        assert result.checkpoint.best_found == 406507
+        ]
+        assert [c.shards_done for c in saves] == list(range(1, 15))
+        assert result.prime == 406507
+        # the hit removes the file the search wrote
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("task", [
+        TASK, SearchTask(406507, 67, 2 * 10**9),
+    ], ids=["hit", "exhaustion"])
+    def test_completion_removes_the_file_it_resumed_from(self, tmp_path, saves, task):
+        path = str(tmp_path / "cp.json")
+        suspended = run_search(task, checkpoint_path=path, max_shards=1)
+        assert load_checkpoint(path) == suspended.checkpoint
+        resumed = run_search(
+            task, resume_from=load_checkpoint(path), checkpoint_path=path
+        )
+        assert resumed.completed
+        assert saves == [suspended.checkpoint]
+        assert not os.path.exists(path)
+
+    def test_completion_leaves_a_file_it_did_not_resume_from(self, tmp_path):
+        path = tmp_path / "cp.json"
+        path.write_text("another search's state")
+        assert run_search(self.TASK, checkpoint_path=str(path)).prime == 406507
+        assert path.read_text() == "another search's state"
 
     def test_progress_written_when_the_interval_passes(
         self, tmp_path, search_clock, saves, monkeypatch
@@ -645,13 +690,14 @@ class TestCheckpointWrites:
         result = run_search(self.TASK, checkpoint_path=path)
         first = saves[0]
         assert first.next_multiplier == 2 + 64 * 3
-        assert (first.shards_done, first.best_found) == (3, None)
+        assert first.shards_done == 3
         assert first.wall_seconds == searchctl._CHECKPOINT_INTERVAL
-        # the clock restarts at each write; the hit updates the file
+        # the clock restarts at each write; the hit removes the file
         assert [c.next_multiplier for c in saves] == [
             2 + 64 * k for k in (3, 6, 9, 12)
-        ] + [928]
-        assert load_checkpoint(path) == result.checkpoint
+        ]
+        assert result.prime == 406507
+        assert not os.path.exists(path)
 
     def test_interrupt_writes_the_state_so_far(self, tmp_path, search_clock, scans):
         real_scan = searchctl.scan_multiplier_range
@@ -668,7 +714,7 @@ class TestCheckpointWrites:
                 run_search(self.TASK, checkpoint_path=path)
         on_disk = load_checkpoint(path)
         assert on_disk.next_multiplier == 2 + 64 * 3
-        assert (on_disk.shards_done, on_disk.best_found) == (3, None)
+        assert on_disk.shards_done == 3
         resumed = run_search(self.TASK, resume_from=on_disk)
         assert resumed.prime == 406507
         assert resumed.checkpoint.shards_done == 15
@@ -750,89 +796,6 @@ class TestResultInvariants:
         checkpoint.validate()
         clone = dataclasses.replace(checkpoint, wall_seconds=0.0)
         clone.validate()
-
-    # task (439, 7, 10**9); u is the odd part of m = (7 + r) / 439
-    @pytest.mark.parametrize("best", [
-        348559,  # u = 397, a prime below the constraint
-        390703,  # u = 445 = 5 * 89, composite below 439**2
-        406507,  # u = 463, a prime
-        169530379,  # u = 193087 = 293 * 659, past 439**2
-        201586159,  # u = 229597 = 439 * 523, past 439**2
-    ])
-    def test_validate_divisor_property_matches_oracle(self, best):
-        task = SearchTask(439, 7, 10**9)
-        m = (7 + best) // 439
-        checkpoint = Checkpoint(task, m + 2, best, 1, 0.0)
-        if oracles.sopd_trial(7 + best) == 439:
-            checkpoint.validate()
-        else:
-            with pytest.raises(CheckpointError, match="divisor property"):
-                checkpoint.validate()
-
-    def test_validate_needs_no_factorization(self, monkeypatch):
-        # 67 + a16 = 406507 * 2 * 406531: the odd part of m is a prime
-        # below 406507**2, so a primality test settles it
-        def no_factorize(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        monkeypatch.setattr("pfib.arith.factorize", no_factorize)
-        task = SearchTask(406507, 67, 10**12)
-        Checkpoint(task, 813064, 330515394367, 13, 0.0).validate()
-
-    def test_validate_past_c_squared_needs_no_factorization(self, monkeypatch):
-        # 67 + r = 406507 * 2**21 * 406507 * 406531: the odd part of m is a
-        # semiprime past 406507**2 with no prime factor below 406507
-        def no_factorize(n):
-            raise AssertionError(f"factorize({n}) called")
-
-        monkeypatch.setattr("pfib.arith.factorize", no_factorize)
-        best = 140883338403703200677821
-        assert oracles.mr_is_prime(best)
-        task = SearchTask(406507, 67, best)
-        m = (67 + best) // 406507
-        Checkpoint(task, m + 2, best, 1, 0.0).validate()
-
-    def test_validate_matches_oracle_on_every_hit(self):
-        # every prime hit of task (13, 3, 10**6) with multiplier m < 20000,
-        # whose odd part u covers u < 13, 13 <= u < 13**2 and u >= 13**2:
-        # valid iff 13 is the oracle's smallest odd prime divisor
-        c, partner = 13, 3
-        task = SearchTask(c, partner, 10**6)
-        outcomes = set()
-        for m in range(2, 20_000, 2):
-            best = c * m - partner
-            if not oracles.trial_is_prime(best):
-                continue
-            checkpoint = Checkpoint(task, m + 2, best, 1, 0.0)
-            valid = oracles.sopd_trial(partner + best) == c
-            outcomes.add(valid)
-            if valid:
-                checkpoint.validate()
-            else:
-                with pytest.raises(CheckpointError, match="divisor property"):
-                    checkpoint.validate()
-        assert outcomes == {True, False}
-
-    def test_validate_refuses_constraint_past_sieve_ceiling(self):
-        # 4294967311 is the least prime above 2**32; the odd primes below it
-        # cannot be sieved, so a hit with u >= c**2 cannot be checked
-        c = 4294967311
-        u = c * c
-        while not is_prime(2 * c * u - 3):
-            u += 2
-        best = 2 * c * u - 3
-        checkpoint = Checkpoint(SearchTask(c, 3, best), 2 * u + 2, best, 1, 0.0)
-        with pytest.raises(CheckpointError, match="too large"):
-            checkpoint.validate()
-        # u = c < c**2 is prime, but j = m/2 = c * 2**e >= 2**64 puts the
-        # scan's sieving primes past the ceiling too, so the hit is refused
-        j = c << 32
-        while not is_prime(2 * c * j - 3):
-            j <<= 1
-        best = 2 * c * j - 3
-        checkpoint = Checkpoint(SearchTask(c, 3, best), 2 * j + 2, best, 1, 0.0)
-        with pytest.raises(CheckpointError, match="too large"):
-            checkpoint.validate()
 
     def test_exhausted_checkpoint_covers_whole_range(self):
         task = SearchTask(406507, 67, 2_000_000_000)

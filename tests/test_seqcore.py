@@ -349,7 +349,7 @@ class TestGenerateReversedCheckpoints:
         path = str(tmp_path / "state.json")
         task = searchctl.SearchTask(406507, 67, self.BOUND)
         searchctl.save_checkpoint(
-            searchctl.Checkpoint(task, 4096, None, 1, 5.0), path
+            searchctl.Checkpoint(task, 4096, 1, 5.0), path
         )
         seq = generate_reversed(Seed(3, 5), 16, self.BOUND, checkpoint_path=path)
         assert seq.status is ReversedStatus.BOUND_EXHAUSTED
@@ -385,7 +385,7 @@ class TestGenerateReversedCheckpoints:
         path = str(tmp_path / "state.json")
         task = searchctl.SearchTask(101, 3, self.BOUND)
         searchctl.save_checkpoint(
-            searchctl.Checkpoint(task, 1000, None, 2, 9.0), path
+            searchctl.Checkpoint(task, 1000, 2, 9.0), path
         )
         with open(path, "rb") as handle:
             before = handle.read()
@@ -408,7 +408,7 @@ class TestGenerateReversedCheckpoints:
     ):
         path = str(tmp_path / "state.json")
         task = searchctl.SearchTask(406507, 67, self.BOUND)
-        searchctl.save_checkpoint(searchctl.Checkpoint(task, 4096, None, 1, 5.0), path)
+        searchctl.save_checkpoint(searchctl.Checkpoint(task, 4096, 1, 5.0), path)
         saves.clear()
         loads = []
         real_load = searchctl.load_checkpoint
@@ -421,10 +421,8 @@ class TestGenerateReversedCheckpoints:
         seq = generate_reversed(Seed(3, 5), 16, self.BOUND, checkpoint_path=path)
         assert seq.terms == A255562 and seq.at_index == 15
         assert loads == [path]
-        # the step-16 search updates the file it resumed from, which then goes
-        assert [(c.task, c.next_multiplier, c.shards_done) for c in saves] == [
-            (task, 4920, 2)
-        ]
+        # the step-16 search removes the file it resumed from, writing nothing
+        assert saves == []
         assert not os.path.exists(path)
 
 
