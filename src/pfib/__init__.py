@@ -31,7 +31,6 @@ from .searchctl import (
 )
 from .seqcore import (
     BoundExhaustedError,
-    DegenerateSystemError,
     ForwardStatus,
     GROWTH_ROOT,
     GrowthReport,

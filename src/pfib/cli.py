@@ -12,6 +12,8 @@ or, under `--format records`, one JSON record
 `{"command", "inputs", "result", "timing"}` with every potentially large
 integer as a decimal string.  `reversed` also streams each term as it is
 found: plain words on one line, or one `"event": "term"` record per term.
+A prime given on the command line is read with `int` and tested once, by
+`Seed`, `SearchTask` or `extend_left_crt`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 import time
 
 from . import seqcore
-from .arith import ensure_odd_prime
 from .searchctl import CheckpointError
 from .seqcore import (
     ForwardStatus,
@@ -52,7 +53,12 @@ def parse_bfile(lines) -> list[tuple[int, int]]:
     integers with strictly increasing indices and non-negative values.  A
     line that breaks this raises ValueError naming its line number.
     """
-    entries: list[tuple[int, int]] = []
+    return [(index, value) for _, index, value in _bfile_rows(lines)]
+
+
+def _bfile_rows(lines):
+    # (line number, index, value) per data line, checked as parse_bfile says
+    previous = None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -64,26 +70,18 @@ def parse_bfile(lines) -> list[tuple[int, int]]:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"line {line_no}: non-integer field in {line!r}") from None
-        if entries and index <= entries[-1][0]:
+        if previous is not None and index <= previous:
             raise ValueError(
-                f"line {line_no}: index {index} not above previous {entries[-1][0]}"
+                f"line {line_no}: index {index} not above previous {previous}"
             )
         if value < 0:
             raise ValueError(f"line {line_no}: negative value {value}")
-        entries.append((index, value))
-    return entries
+        previous = index
+        yield line_no, index, value
 
 
 def _emit(record: dict) -> None:
     print(json.dumps(record, separators=(",", ":")), flush=True)
-
-
-def _parse_odd_prime(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
-    return ensure_odd_prime(value)
 
 
 def _resolve_workers(cli_value: int | None) -> int:
@@ -103,7 +101,7 @@ def _forward_suffix(seq) -> str:
 
 
 def cmd_forward(args) -> _Outcome:
-    seed = Seed(_parse_odd_prime(args.p1), _parse_odd_prime(args.p2))
+    seed = Seed(int(args.p1), int(args.p2))
     seq = seqcore.generate_forward(seed, args.max_terms)
     inputs = {"p1": str(seed.p1), "p2": str(seed.p2), "max_terms": str(args.max_terms)}
     result = {"terms": [str(t) for t in seq.terms], "status": seq.status.value}
@@ -116,7 +114,7 @@ def cmd_forward(args) -> _Outcome:
 
 
 def cmd_extend_left(args) -> _Outcome:
-    p1, p2 = _parse_odd_prime(args.p1), _parse_odd_prime(args.p2)
+    p1, p2 = int(args.p1), int(args.p2)
     inputs = {"p1": str(p1), "p2": str(p2), "method": args.method}
     if args.method == "crt":
         inputs["max_steps"] = str(args.max_steps)
@@ -147,7 +145,7 @@ def cmd_extend_left(args) -> _Outcome:
 
 
 def cmd_reversed(args) -> _Outcome:
-    seed = Seed(_parse_odd_prime(args.p), _parse_odd_prime(args.q))
+    seed = Seed(int(args.p), int(args.q))
     workers = _resolve_workers(args.workers)
     if args.terms < 2:
         raise ValueError(f"--terms must be at least 2, got {args.terms}")
@@ -166,7 +164,7 @@ def cmd_reversed(args) -> _Outcome:
                 }
             )
         else:
-            sys.stdout.write(f"{value} " if index + 1 < args.terms else f"{value}")
+            sys.stdout.write(f" {value}" if index else f"{value}")
             sys.stdout.flush()
 
     try:
@@ -238,10 +236,14 @@ def cmd_green_tao(args) -> _Outcome:
 
 
 def cmd_verify_bfile(args) -> _Outcome:
-    seed = Seed(_parse_odd_prime(args.p), _parse_odd_prime(args.q))
+    seed = Seed(int(args.p), int(args.q))
+    entries: list[tuple[int, int]] = []
     try:
         with open(args.path, "r", encoding="ascii") as handle:
-            entries = parse_bfile(handle)
+            for line_no, index, value in _bfile_rows(handle):
+                if index < 1:  # term 1 is the seed's p
+                    raise ValueError(f"line {line_no}: index {index} below 1")
+                entries.append((index, value))
     except OSError as exc:
         raise ValueError(f"cannot read {args.path}: {exc}") from exc
     except ValueError as exc:
@@ -249,10 +251,10 @@ def cmd_verify_bfile(args) -> _Outcome:
     if not entries:
         raise ValueError(f"{args.path}: no entries")
     bound = 2 * max(value for _, value in entries) + 1000
-    seq = seqcore.generate_reversed(seed, len(entries), bound)
+    seq = seqcore.generate_reversed(seed, max(entries[-1][0], 2), bound)
     inputs = {"p": str(seed.p1), "q": str(seed.p2), "path": args.path}
-    for position, (index, expected) in enumerate(entries):
-        got = seq.terms[position] if position < len(seq.terms) else None
+    for index, expected in entries:
+        got = seq.terms[index - 1] if index <= len(seq.terms) else None
         if got != expected:
             result = {
                 "entries": len(entries),

@@ -308,8 +308,9 @@ def run_search(
 
     With a `checkpoint_path`, whose directory must exist and be writable
     before any shard is scanned, state is written only where the write
-    saves work.  Progress is written 30 s after the call started or after
-    its last write, whether shards run in-process or in the pool.  A
+    saves work.  Once 30 s have passed since the call started or since its
+    last write, the progress is written as soon as a shard has finished
+    since then, whether shards run in-process or in the pool.  A
     suspension by `max_shards` and a KeyboardInterrupt write at once.  A hit
     or an exhaustion writes nothing: it removes the file this call resumed
     from or wrote, and touches no other.  So a run killed outright loses at
@@ -339,6 +340,7 @@ def run_search(
     m_next = max(start.next_multiplier, _even_ceil(m0))
     m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
     started = last_write = time.monotonic()
+    written = m_next  # the progress last written; at the start none is new
 
     def snapshot(next_m: int) -> Checkpoint:
         return Checkpoint(
@@ -349,11 +351,12 @@ def run_search(
         )
 
     def emit(checkpoint: Checkpoint) -> None:
-        nonlocal on_disk, last_write
+        nonlocal on_disk, last_write, written
         if checkpoint_path is not None:
             save_checkpoint(checkpoint, checkpoint_path)
             on_disk = True
         last_write = time.monotonic()
+        written = checkpoint.next_multiplier
 
     def until_due() -> float:
         # seconds until the next progress write; the one clock for both paths
@@ -396,12 +399,14 @@ def run_search(
                     pending.append((hi, pool.submit(scan, lo, hi)))
                     lo = hi
                 hi, future = pending.popleft()
-                while True:
-                    try:
-                        hit = future.result(timeout=max(until_due(), 0.0))
-                        break
-                    except FutureTimeout:
+                try:
+                    hit = future.result(timeout=max(until_due(), 0.0))
+                except FutureTimeout:
+                    # due: write any progress since the last write; the next
+                    # progress is this shard's end, so wait for it
+                    if m_next != written:
                         emit(snapshot(m_next))
+                    hit = future.result()
                 yield hi, hit
         finally:
             pool.shutdown(cancel_futures=True)

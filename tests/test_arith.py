@@ -165,6 +165,7 @@ class TestSmallestOddPrimeDivisor:
         (406514, 439),  # 2 * 439 * 463
         (812947, 61),  # 61 * 13327
         (1000003, 1000003),  # prime beyond the trial-division table
+        (2 * (2**61 - 1), 2**61 - 1),  # prime past 2**32: settled by is_prime
     ])
     def test_examples(self, n, expected):
         assert smallest_odd_prime_divisor(n) == expected

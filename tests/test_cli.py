@@ -178,7 +178,7 @@ class TestReversedCommand:
         )
         assert code == 3 and err == ""
         assert out.splitlines() == [
-            "999999937 3 ", "term 3: no candidate <= 200000000"
+            "999999937 3", "term 3: no candidate <= 200000000"
         ]
 
     def test_underscored_bound(self, run_cli):
@@ -385,6 +385,25 @@ class TestVerifyBfileCommand:
         assert record["result"]["status"] == "mismatch"
         assert record["result"]["index"] == 16
         assert record["result"]["expected"] == "1000003"
+
+    @pytest.mark.parametrize("text,entries", [
+        ("1 3\n2 5\n4 3\n", 3),  # a gap: term 4 is 3
+        ("2 5\n3 7\n4 3\n", 3),  # an offset: the file starts at term 2
+        ("1 3\n", 1),  # one entry still generates the seed pair
+    ], ids=["gapped", "offset", "single"])
+    def test_entries_match_by_index(self, run_cli, tmp_path, text, entries):
+        target = tmp_path / "part.txt"
+        target.write_text(text)
+        code, out, _ = run_cli("verify-bfile", "3", "5", str(target))
+        assert code == 0
+        assert out == f"ok: {entries} terms match\n"
+
+    def test_index_below_one_is_refused(self, run_cli, tmp_path):
+        target = tmp_path / "zero.txt"
+        target.write_text("# offset 0\n0 3\n1 5\n")
+        code, out, err = run_cli("verify-bfile", "3", "5", str(target))
+        assert code == 2 and out == ""
+        assert err == f"error: {target}: line 2: index 0 below 1\n"
 
     def test_garbage_line(self, run_cli, tmp_path):
         target = tmp_path / "junk.txt"

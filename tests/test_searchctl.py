@@ -3,6 +3,8 @@ import json
 import os
 import random
 import re
+import shlex
+import time
 
 import pytest
 
@@ -25,6 +27,19 @@ from pfib.searchctl import (
 from pfib.seqcore import ReversedStatus, Seed, generate_reversed
 
 A255562 = (3, 5, 7, 3, 11, 7, 37, 19, 277, 331, 223, 439, 7, 406507, 67)
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def _readme() -> str:
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
+        return handle.read()
+
+
+def slow_scan(*args):
+    """scan_multiplier_range after 0.3 s; at module level, so that pool
+    workers unpickle it by name."""
+    time.sleep(0.3)
+    return scan_multiplier_range(*args)
 
 
 def brute_scan(constraint, partner, m_lo, m_hi):
@@ -251,14 +266,28 @@ class TestCheckpointIO:
 
     def test_readme_example_loads(self, tmp_path):
         # the README's example file must stay a valid checkpoint of this format
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as handle:
-            (example,) = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
+        (example,) = re.findall(r"```json\n(.*?)```", _readme(), re.S)
         path = tmp_path / "cp.json"
         path.write_text(example)
         checkpoint = load_checkpoint(str(path))
         # a finished search leaves no file, so the example is one in progress
         assert not SearchResult(checkpoint, None).completed
+
+
+def test_readme_cli_examples(run_cli, monkeypatch):
+    # every `$ pfib ...` line in the README's sh blocks prints exactly the
+    # lines under it; the verify-bfile example names a path from the root
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", _readme(), re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, *lines = chunk.splitlines()
+            examples.append((shlex.split(command), lines))
+    assert len(examples) == 9
+    monkeypatch.chdir(REPO)
+    for (program, *argv), lines in examples:
+        assert program == "pfib"
+        _, out, err = run_cli(*argv)
+        assert (out, err) == ("".join(line + "\n" for line in lines), ""), argv
 
 
 def _valid_doc():
@@ -697,6 +726,25 @@ class TestCheckpointWrites:
             2 + 64 * k for k in (3, 6, 9, 12)
         ]
         assert result.prime == 406507
+        assert not os.path.exists(path)
+
+    def test_pool_wait_writes_only_new_progress(
+        self, tmp_path, monkeypatch, search_clock, saves
+    ):
+        # the clock stands still, so every write comes from the pool's wait
+        # for a 0.3 s shard, which times out after 0.1 s
+        monkeypatch.setattr(searchctl, "_POOL_AFTER_S", 0)
+        monkeypatch.setattr(searchctl, "_CHECKPOINT_INTERVAL", 0.1)
+        monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
+        task = SearchTask(406507, 67, 406507 * 385 - 67)  # 6 shards, no hit
+        path = str(tmp_path / "cp.json")
+        result = run_search(task, workers=2, checkpoint_path=path)
+        assert result.exhausted and result.checkpoint.shards_done == 6
+        written = [c.next_multiplier for c in saves]
+        # the wait writes the progress made meanwhile, and only new progress:
+        # never the start, never the same multiplier twice
+        assert written and written[0] > 2
+        assert written == sorted(set(written))
         assert not os.path.exists(path)
 
     def test_interrupt_writes_the_state_so_far(self, tmp_path, search_clock, scans):

@@ -192,6 +192,8 @@ class TestExtendLeftCrt:
                     continue
                 p0, system = extend_left_crt(p1, p2)
                 a, modulus = system.solution, system.combined_modulus
+                assert math.gcd(a, modulus) == 1
+                assert oracles.sopd_trial(p0 + p1) == p2
                 index = (p0 - a) // modulus
                 assert (index, p0) == oracles.first_progression_prime(a, modulus)
                 sieving_prime_hits += p2 < p0 <= 2**16
@@ -474,6 +476,7 @@ class TestFindPrimeAp:
         (3, 100, (3, 2)),
         (5, 100, (5, 6)),
         (5, 5, None),
+        (2, 5_000_001, (2, 1)),  # a span past 10**7 probes with is_prime
     ])
     def test_examples(self, length, limit, expected):
         ap = find_prime_ap(length, limit)
@@ -523,6 +526,24 @@ class TestGreenTao:
             total = seq.terms[i] + seq.terms[i + 1]
             assert total == 2 * seq.terms[i + 2]
             assert smallest_odd_prime_divisor(total) == seq.terms[i + 2]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_every_small_progression_gives_its_members(self, k):
+        # every progression of 2**(k-2) + 1 primes with first term and
+        # difference below 300, found here without the package
+        length = (1 << (k - 2)) + 1
+        primes = set(oracles.simple_primes(300 * length))
+        indices = index_recurrence(k)
+        count = 0
+        for first in oracles.simple_primes(299):
+            for difference in range(1, 300):
+                if all(first + j * difference in primes for j in range(length)):
+                    ap = PrimeAp(first, difference, length)
+                    terms = green_tao_sequence(k, ap).terms
+                    assert len(terms) >= k
+                    assert list(terms[:k]) == [ap.term(b) for b in indices]
+                    count += 1
+        assert count > 0
 
     def test_rejects_wrong_ap_length(self):
         with pytest.raises(ValueError, match="needs a progression of length 5"):
