@@ -8,7 +8,10 @@ multipliers m instead of candidates r, from the least one giving r >= 3.
 Below twice the constraint that odd part is smaller than the constraint,
 so only powers of two can be valid; above it, a sieve to sqrt(m/2) leaves
 odd parts that are 1 or prime, and a prime one is valid iff it is at least
-the constraint.
+the constraint.  That sieve runs in windows that double from where its
+region starts, 2**9 j and up: the hits found so far lie within 59 j of that
+start, so a shard stops sieving soon after its first hit instead of sieving
+all its 2**15 j first, while a shard far from the start is one window.
 Shards are contiguous multiplier ranges that share O(log) cached lists of
 sieving primes; they may run in parallel but are finalized strictly in
 multiplier order, so a hit is only accepted once every lower shard has
@@ -36,6 +39,7 @@ from functools import lru_cache, partial
 from math import isqrt
 
 from .arith import (
+    _SIEVE_CEILING,
     _show,
     ensure_odd_prime,
     is_prime,
@@ -65,6 +69,9 @@ _CHECKPOINT_INTERVAL = 30.0
 # Starting and draining a pool costs about 9 ms, so a search that settles
 # sooner never pays for one, and a long search is delayed by at most this.
 _POOL_AFTER_S = 0.1
+# Width in j of the first sieve window from where a step's sieved region
+# starts; each window after it doubles (see scan_multiplier_range).
+_FIRST_WINDOW = 1 << 9
 
 
 class CheckpointError(Exception):
@@ -192,8 +199,21 @@ def scan_multiplier_range(
     is sieved by the odd primes up to min(constraint - 1, 2**k - 1) >=
     isqrt(j), and a composite u <= j has a prime factor <= isqrt(j); so a
     survivor's u is 1 or a prime, valid iff u == 1 or u >= constraint.
+
+    The sieve runs in windows that double from where that region starts,
+    j_s = max(constraint, least j): a window at lo is lo - j_s + w0 wide,
+    with w0 = max(2**9, number of sieving primes), so the shard holding j_s
+    sieves w0, 2*w0, 4*w0, ... j until its first hit, and a shard far past
+    j_s is one window.  Hits cluster just past j_s (every sieved hit of
+    A255562 through a19 lies within 59 j of it), so such a hit costs one
+    window of w0 j instead of a whole shard, and a hit further out at most
+    about twice the sieving up to it; as no window is narrower than its
+    prime list, walking that list never outweighs the window itself.  A
+    limit past the sieve's 2**32 ceiling is refused before anything is
+    sieved, naming the constraint's size.
     """
-    j_lo = max((m_lo + 1) // 2, (_least_multiplier(constraint, partner) + 1) // 2, 1)
+    j_least = (_least_multiplier(constraint, partner) + 1) // 2
+    j_lo = max((m_lo + 1) // 2, j_least)
     j_hi = (m_hi + 1) // 2  # m = 2j; j_lo keeps every r >= 3
     two_c = 2 * constraint
     j, j_end = 1 << (j_lo - 1).bit_length(), min(j_hi, constraint)
@@ -202,27 +222,37 @@ def scan_multiplier_range(
         if is_prime(r):
             return r
         j <<= 1
-    j_lo = max(j_lo, constraint)
-    if j_lo >= j_hi:
+    j_start = max(j_least, constraint)
+    lo = max(j_lo, j_start)
+    if lo >= j_hi:
         return None
     # rounding the limit up to 2**k - 1 lets the shards of a search share
     # O(log) cached prime lists, and keeps it below 2**32 until j nears 2**64
     limit = min(constraint - 1, (1 << isqrt(j_hi - 1).bit_length()) - 1)
-    width = j_hi - j_lo
-    flags = bytearray(b"\x01") * width
-    for q in _odd_sieve_primes(limit):
-        i0 = -j_lo % q
-        if i0 < width:
-            flags[i0::q] = b"\x00" * ((width - i0 + q - 1) // q)
-    find = flags.find
-    pos = find(1)
-    while pos != -1:
-        u = odd_part(j_lo + pos)
-        if u == 1 or u >= constraint:
-            r = two_c * (j_lo + pos) - partner
-            if is_prime(r):
-                return r
-        pos = find(1, pos + 1)
+    if limit >= _SIEVE_CEILING:
+        raise ValueError(
+            f"the constraint has {constraint.bit_length()} bits, and sieving here "
+            f"needs the primes up to {_show(limit)}, past the sieve's ceiling of 2**32"
+        )
+    primes = _odd_sieve_primes(limit)
+    first_width = max(_FIRST_WINDOW, len(primes))
+    while lo < j_hi:
+        width = min(j_hi - lo, lo - j_start + first_width)
+        flags = bytearray(b"\x01") * width
+        for q in primes:
+            i0 = -lo % q
+            if i0 < width:
+                flags[i0::q] = b"\x00" * ((width - i0 + q - 1) // q)
+        find = flags.find
+        pos = find(1)
+        while pos != -1:
+            u = odd_part(lo + pos)
+            if u == 1 or u >= constraint:
+                r = two_c * (lo + pos) - partner
+                if is_prime(r):
+                    return r
+            pos = find(1, pos + 1)
+        lo += width
     return None
 
 
@@ -321,11 +351,14 @@ def run_search(
         raise ValueError(f"workers must be positive, got {_show(workers)}")
     if max_shards is not None and max_shards < 0:
         raise ValueError(f"max_shards must be >= 0, got {_show(max_shards)}")
-    # a fresh search resumes from the state where nothing is done yet
-    start = Checkpoint(task, 2, 0, 0.0) if resume_from is None else resume_from
-    if start.task != task:
-        raise CheckpointError("checkpoint was written for a different task")
-    start.validate()
+    if resume_from is None:
+        # the state where nothing is done yet, which is valid for any task
+        start = Checkpoint(task, 2, 0, 0.0)
+    else:
+        if resume_from.task != task:
+            raise CheckpointError("checkpoint was written for a different task")
+        resume_from.validate()
+        start = resume_from
     if max_shards == 0:
         return SearchResult(start, None)
     # a completion removes only a file this call resumed from or wrote, so

@@ -34,7 +34,7 @@ from .arith import (
     smallest_odd_prime_divisor,
 )
 from . import searchctl
-from .searchctl import SearchTask
+from .searchctl import SearchTask, _is_int
 
 __all__ = [
     "BoundExhaustedError",
@@ -72,6 +72,14 @@ GROWTH_ROOT = (math.sqrt(17) - 1) / 2
 
 class BoundExhaustedError(Exception):
     """A scan hit its step budget without finding the guaranteed prime."""
+
+
+def _proven(cls, *values):
+    # An instance of the frozen dataclass cls from field values the caller
+    # has already proven valid: its __post_init__ checks are not run again.
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return record
 
 
 @dataclass(frozen=True)
@@ -281,11 +289,17 @@ def generate_reversed(
     removes the file it resumed from or wrote, and one that finishes within
     the search's 30 s write interval writes none.  on_term, when given, is
     called with (index, value) for every term as it becomes known.
+
+    Each term is tested once: Seed proved the two seed terms and each step's
+    search proved the term it found, so a step's SearchTask is built from
+    them without testing either again; only the bound is checked, here.
     """
     if num_terms < 2:
         raise ValueError(f"num_terms must be at least 2, got {_show(num_terms)}")
-    if per_step_bound < 1:
-        raise ValueError(f"per_step_bound must be >= 1, got {_show(per_step_bound)}")
+    if not _is_int(per_step_bound) or per_step_bound < 1:
+        raise ValueError(
+            f"per_step_bound must be an integer >= 1, got {_show(per_step_bound)}"
+        )
     terms = [seed.p1, seed.p2]
     if on_term is not None:
         on_term(0, terms[0])
@@ -297,7 +311,7 @@ def generate_reversed(
         if os.path.exists(checkpoint_path):
             stored = searchctl.load_checkpoint(checkpoint_path)
     while len(terms) < num_terms:
-        task = SearchTask(terms[-2], terms[-1], per_step_bound)
+        task = _proven(SearchTask, terms[-2], terms[-1], per_step_bound)
         resume, step_path = None, checkpoint_path
         if stored is not None and stored.task == task:
             resume, stored = stored, None
@@ -350,7 +364,8 @@ def green_tao_sequence(k: int, ap: PrimeAp) -> PfibSequence:
             f"k={k} needs a progression of length {_show(n + 1)}, got {ap.length}"
         )
     cap = 2 * ap.term(ap.length - 1) + 4
-    return generate_forward(Seed(ap.term(0), ap.term(n)), cap)
+    # PrimeAp proved every member prime
+    return generate_forward(_proven(Seed, ap.term(0), ap.term(n)), cap)
 
 
 def find_prime_ap(length: int, search_limit: int) -> PrimeAp | None:
@@ -373,7 +388,7 @@ def find_prime_ap(length: int, search_limit: int) -> PrimeAp | None:
             if probe(first + difference) and all(
                 probe(first + j * difference) for j in range(2, length)
             ):
-                return PrimeAp(first, difference, length)
+                return _proven(PrimeAp, first, difference, length)
     return None
 
 

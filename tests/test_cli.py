@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from pfib.cli import main, parse_bfile
+from pfib.searchctl import Checkpoint, SearchTask, save_checkpoint
 
 A255562_LINE = "3 5 7 3 11 7 37 19 277 331 223 439 7 406507 67"
 
@@ -235,6 +236,23 @@ class TestReversedCommand:
         )
         assert code == 2 and err.startswith("error:")
         assert path.read_text() == '{"format_version": 1}'
+
+    def test_sieve_past_the_ceiling_is_refused(self, run_cli, tmp_path):
+        # step 22 of A255562 resumed at j = a20, whose sieve would need the
+        # primes up to 2**44 - 1: a clear error and exit 2, not a traceback
+        a20, a21 = 223724392248491824062507397, 3691561
+        path = tmp_path / "state.json"
+        task = SearchTask(a20, a21, 10**60)
+        save_checkpoint(Checkpoint(task, 2 * a20, 0, 0.0), str(path))
+        before = path.read_text()
+        code, out, err = run_cli(
+            "reversed", str(a20), str(a21), "--terms", "3", "--bound", str(10**60),
+            "--workers", "1", "--checkpoint", str(path),
+        )
+        assert code == 2 and err.startswith("error:")
+        assert "88 bits" in err and "primes up to 17592186044415" in err
+        assert out == f"{a20} {a21}\n"
+        assert path.read_text() == before
 
     def test_checkpoint_past_task_range_is_refused(self, run_cli, tmp_path):
         # the step 439, 7 -> 406507 has multiplier limit 22779; a file that

@@ -27,6 +27,8 @@ from pfib.searchctl import (
 from pfib.seqcore import ReversedStatus, Seed, generate_reversed
 
 A255562 = (3, 5, 7, 3, 11, 7, 37, 19, 277, 331, 223, 439, 7, 406507, 67)
+# a20 and a21, an 88-bit prime and its successor: step 22's task
+A20, A21 = 223724392248491824062507397, 3691561
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
@@ -181,6 +183,72 @@ class TestScanMultiplierRange:
             expected = r if valid else None
             assert scan_multiplier_range(c, partner, m, m + 2) == expected, m
         assert outcomes == {True, False}
+
+
+class TestSieveWindows:
+    """The scan sieves in windows that double from where its sieved region
+    starts, j_s = max(c, least j).  With the first window patched to one j,
+    each window is only as wide as its prime list, so hits lie many windows
+    past j_s and a shard rarely starts at a window boundary."""
+
+    @pytest.fixture(autouse=True)
+    def unit_first_window(self, monkeypatch):
+        monkeypatch.setattr(searchctl, "_FIRST_WINDOW", 1)
+
+    @pytest.mark.parametrize("width", [64, DEFAULT_SHARD_WIDTH])
+    @pytest.mark.parametrize("c,p,bound", [
+        (3, 5, 100),
+        (7, 7, 100),
+        (13, 3, 20_000),
+        (59, 131, 25_000),
+        (61, 97, 30_000),
+        (157, 79, 100_000),  # exhausted: the hit 109507 is past the bound
+        (157, 79, 120_000),
+        (439, 7, 410_000),
+    ])
+    def test_search_matches_linear_oracle(self, monkeypatch, width, c, p, bound):
+        # at width 64 a shard spans 32 j, so most start inside the region
+        monkeypatch.setattr(searchctl, "DEFAULT_SHARD_WIDTH", width)
+        task = SearchTask(c, p, bound)
+        assert run_search(task).prime == oracles.reversed_step_scan(p, c, bound)
+
+    def test_hit_past_the_third_window(self):
+        # j_s = 61, and j < 247 is sieved by the 5 odd primes up to 15, so
+        # the windows are 5, 10, 20, 40 and 80 j wide and end at j = 66, 76,
+        # 96, 136 and 216: the hit at j = 199 lies in the fifth
+        r = scan_multiplier_range(61, 97, 2, 494)
+        assert r == oracles.reversed_step_scan(97, 61, 61 * 493 - 97) == 24181
+        assert (r + 97) // 61 // 2 - 61 > 5 + 10 + 20
+
+    @pytest.mark.parametrize("c", [61, 1009])
+    def test_shards_starting_inside_the_region_match_brute_force(self, c):
+        rng = random.Random(c)
+        partners = [p for p in oracles.simple_primes(c) if p > 2]
+        results = []
+        for _ in range(40):
+            p = rng.choice(partners)  # below c, so j_s = c
+            lo = 2 * (c + rng.randrange(1, 3000))
+            hi = lo + rng.randrange(2, 300)
+            expected = brute_scan(c, p, lo, hi)
+            assert scan_multiplier_range(c, p, lo, hi) == expected, (c, p, lo, hi)
+            results.append(expected)
+        assert None in results and any(results)
+
+    def test_refuses_a_sieve_past_the_ceiling_before_any_work(self, monkeypatch):
+        # step 22 from j = a20: the sieve would need the primes up to
+        # 2**44 - 1, which is refused by the constraint's size, not by the
+        # sieve's ceiling guard, and before any test or sieve runs
+        task = SearchTask(A20, A21, 10**60)
+        work = []
+        monkeypatch.setattr(searchctl, "is_prime", work.append)
+        monkeypatch.setattr(searchctl, "sieve_primes", work.append)
+        with pytest.raises(
+            ValueError,
+            match=r"^the constraint has 88 bits, and sieving here needs the primes up to "
+            r"17592186044415, past",
+        ):
+            run_search(task, resume_from=Checkpoint(task, 2 * A20, 0, 0.0))
+        assert work == []
 
 
 def make_checkpoint(next_multiplier=100, shards=2, wall=1.5):

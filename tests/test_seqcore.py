@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pfib import searchctl, seqcore
+from pfib import arith, searchctl, seqcore
 from pfib.arith import smallest_odd_prime_divisor
 from pfib.seqcore import (
     BoundExhaustedError,
@@ -32,6 +34,24 @@ A255562 = (3, 5, 7, 3, 11, 7, 37, 19, 277, 331, 223, 439, 7, 406507, 67)
 SMALL_ODD_PRIMES = [p for p in oracles.simple_primes(60) if p > 2]
 
 
+@pytest.fixture
+def retests(monkeypatch):
+    """Arguments of every is_prime call made outside the reversed-step scan:
+    those of ensure_odd_prime, which the record constructors call, and of
+    PrimeAp's member check; the scan's own tests go through searchctl's
+    binding and are not recorded."""
+    calls = []
+    for module in (arith, seqcore):
+        original = module.is_prime
+
+        def spy(n, original=original):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(module, "is_prime", spy)
+    return calls
+
+
 class TestSeed:
     def test_accepts_odd_primes(self):
         assert Seed(3, 5) == Seed(3, 5)
@@ -41,6 +61,22 @@ class TestSeed:
     def test_rejects_non_odd_primes(self, pair):
         with pytest.raises(ValueError, match="not an odd prime"):
             Seed(*pair)
+
+
+@pytest.mark.parametrize("cls,values", [
+    (Seed, (3, 5)),
+    (PrimeAp, (199, 210, 9)),
+    (searchctl.SearchTask, (406507, 67, 10**12)),
+])
+def test_proven_record_is_the_checked_one(cls, values, retests):
+    # built without its checks, a record still equals, hashes, pickles and
+    # converts like the one the public constructor checks
+    proven = seqcore._proven(cls, *values)
+    assert retests == []
+    checked = cls(*values)
+    assert proven == checked and hash(proven) == hash(checked)
+    assert pickle.loads(pickle.dumps(proven)) == checked
+    assert dataclasses.astuple(proven) == values
 
 
 class TestGenerateForward:
@@ -322,6 +358,22 @@ class TestGenerateReversed:
         with pytest.raises(ValueError, match="per_step_bound"):
             generate_reversed(Seed(3, 5), 3, 0)
 
+    @pytest.mark.parametrize("bound", [2.5, True, "10"])
+    def test_rejects_non_integer_bound(self, bound):
+        # the steps' tasks are built without SearchTask's checks, so the
+        # bound is refused here, with SearchTask's wording
+        with pytest.raises(ValueError, match="bound must be an integer >= 1, got"):
+            generate_reversed(Seed(3, 5), 5, bound)
+
+    def test_each_term_is_tested_once(self, retests):
+        # Seed proves the seed and each step's scan the term it finds, so
+        # no step's task tests its two primes again
+        seed = Seed(3, 5)
+        retests.clear()
+        seq = generate_reversed(seed, 19, 2 * 10**13, workers=1)
+        assert len(seq.terms) == 19
+        assert retests == []
+
     def test_forward_replay_inverts_reversal(self):
         seq = generate_reversed(Seed(3, 5), 15, 10**7)
         replay = generate_forward(Seed(seq.terms[-1], seq.terms[-2]), 1000)
@@ -499,6 +551,15 @@ class TestFindPrimeAp:
     def test_rejects_short_length(self):
         with pytest.raises(ValueError, match="at least 2"):
             find_prime_ap(1, 100)
+
+    def test_found_members_are_not_tested_again(self, retests):
+        # the probe accepted every member, so neither the progression nor
+        # the green-tao seed built from its endpoints tests one again
+        ap = find_prime_ap(9, 1000)
+        seq = green_tao_sequence(5, ap)
+        assert (ap.first, ap.difference, ap.length) == (199, 210, 9)
+        assert seq.terms[:2] == (199, 1879)
+        assert retests == []
 
 
 class TestGreenTao:
