@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -215,14 +215,14 @@ def sieve_primes(limit: int) -> list[int]:
     return primes
 
 
-@dataclass(frozen=True)
-class CrtSystem:
+class CrtSystem(namedtuple("CrtSystem", "congruences combined_modulus solution")):
     """A solved simultaneous-congruence system.
 
     `congruences` holds canonical (residue, modulus) pairs in input order;
     `solution` is the unique representative in [0, combined_modulus).
     """
 
+    __slots__ = ()
     congruences: tuple[tuple[int, int], ...]
     combined_modulus: int
     solution: int

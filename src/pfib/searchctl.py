@@ -32,9 +32,8 @@ import json
 import os
 import sys
 import time
-from collections import deque
+from collections import deque, namedtuple
 from contextlib import closing, suppress
-from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
 from math import isqrt
 
@@ -82,8 +81,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class SearchTask:
+def _checked_replace(self, **changes):
+    # namedtuple's _replace builds through _make, past __new__: a checked
+    # record's copy goes through its constructor, as a new record would
+    return type(self)(**{**self._asdict(), **changes})
+
+
+class SearchTask(namedtuple("SearchTask", "constraint_prime partner bound")):
     """Immutable description of one reversed-step search: what is searched.
 
     `constraint_prime` is the prime whose minimality must hold (the divisor),
@@ -92,19 +96,24 @@ class SearchTask:
     constraint-partner gap leaves no multiplier, so its search exhausts at once.
     """
 
+    __slots__ = ()
     constraint_prime: int
     partner: int
     bound: int
 
-    def __post_init__(self):
-        ensure_odd_prime(self.constraint_prime)
-        ensure_odd_prime(self.partner)
-        if not _is_int(self.bound) or self.bound < 1:
-            raise ValueError(f"bound must be an integer >= 1, got {_show(self.bound)}")
+    def __new__(cls, constraint_prime, partner, bound):
+        ensure_odd_prime(constraint_prime)
+        ensure_odd_prime(partner)
+        if not _is_int(bound) or bound < 1:
+            raise ValueError(f"bound must be an integer >= 1, got {_show(bound)}")
+        return tuple.__new__(cls, (constraint_prime, partner, bound))
+
+    _replace = _checked_replace
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(
+    namedtuple("Checkpoint", "task next_multiplier shards_done wall_seconds")
+):
     """Resumable search progress; its fields are also the checkpoint file format.
 
     next_multiplier is the smallest even multiplier not yet fully processed;
@@ -114,6 +123,7 @@ class Checkpoint:
     memory alike.
     """
 
+    __slots__ = ()
     task: SearchTask
     next_multiplier: int
     shards_done: int
@@ -146,14 +156,14 @@ class Checkpoint:
             raise CheckpointError(f"non-finite or negative wall_seconds {_show(wall)}")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple("SearchResult", "checkpoint prime")):
     """Outcome of run_search: a prime, exhaustion (every multiplier up to the
     task's limit done), or suspension, with the search's final progress.
 
     At a hit the checkpoint's next_multiplier is the hit's own multiplier, so
     a resume from it finds the same prime in its first shard."""
 
+    __slots__ = ()
     checkpoint: Checkpoint
     prime: int | None
 
@@ -259,7 +269,11 @@ def scan_multiplier_range(
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Atomically write a checkpoint (temp file + rename, same directory)."""
     checkpoint.validate()
-    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **asdict(checkpoint)}
+    doc = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        **checkpoint._asdict(),
+        "task": checkpoint.task._asdict(),
+    }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as handle:
         json.dump(doc, handle)
@@ -269,7 +283,7 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
 
 
 def _field_names(cls) -> set[str]:
-    return {field.name for field in fields(cls)}
+    return set(cls._fields)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -20,7 +20,7 @@ import itertools
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .arith import (
@@ -34,7 +34,7 @@ from .arith import (
     smallest_odd_prime_divisor,
 )
 from . import searchctl
-from .searchctl import SearchTask, _is_int
+from .searchctl import SearchTask, _checked_replace, _is_int
 
 __all__ = [
     "BoundExhaustedError",
@@ -74,24 +74,19 @@ class BoundExhaustedError(Exception):
     """A scan hit its step budget without finding the guaranteed prime."""
 
 
-def _proven(cls, *values):
-    # An instance of the frozen dataclass cls from field values the caller
-    # has already proven valid: its __post_init__ checks are not run again.
-    record = object.__new__(cls)
-    record.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return record
-
-
-@dataclass(frozen=True)
-class Seed:
+class Seed(namedtuple("Seed", "p1 p2")):
     """An ordered pair of odd primes; equal primes seed a constant sequence."""
 
+    __slots__ = ()
     p1: int
     p2: int
 
-    def __post_init__(self):
-        ensure_odd_prime(self.p1)
-        ensure_odd_prime(self.p2)
+    def __new__(cls, p1, p2):
+        ensure_odd_prime(p1)
+        ensure_odd_prime(p2)
+        return tuple.__new__(cls, (p1, p2))
+
+    _replace = _checked_replace
 
 
 class ForwardStatus(str, Enum):
@@ -100,14 +95,20 @@ class ForwardStatus(str, Enum):
     TRUNCATED = "truncated"
 
 
-@dataclass(frozen=True)
-class PfibSequence:
-    """Forward generation result: terms plus why generation stopped."""
+class PfibSequence(
+    namedtuple("PfibSequence", "terms status final_sum limit", defaults=(None, None))
+):
+    """Forward generation result: terms plus why generation stopped.
 
+    final_sum is the power of two when TERMINATED, limit the cap when
+    TRUNCATED; each is None otherwise.
+    """
+
+    __slots__ = ()
     terms: tuple[int, ...]
     status: ForwardStatus
-    final_sum: int | None = None  # the power of two, when TERMINATED
-    limit: int | None = None  # the cap, when TRUNCATED
+    final_sum: int | None
+    limit: int | None
 
 
 class ReversedStatus(str, Enum):
@@ -115,37 +116,45 @@ class ReversedStatus(str, Enum):
     BOUND_EXHAUSTED = "bound_exhausted"
 
 
-@dataclass(frozen=True)
-class ReversedSequence:
+class ReversedSequence(
+    namedtuple("ReversedSequence", "terms status at_index bound", defaults=(None, None))
+):
     """Reversed generation result.
 
     On BOUND_EXHAUSTED, at_index is the 0-based position the missing term
     would have occupied and bound the per-step ceiling that was searched.
     """
 
+    __slots__ = ()
     terms: tuple[int, ...]
     status: ReversedStatus
-    at_index: int | None = None
-    bound: int | None = None
+    at_index: int | None
+    bound: int | None
 
 
-@dataclass(frozen=True)
-class PrimeAp:
+class PrimeAp(namedtuple("PrimeAp", "first difference length")):
     """Arithmetic progression of primes: first, first+difference, ..."""
 
+    __slots__ = ()
     first: int
     difference: int
     length: int
 
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {_show(self.length)}")
-        if self.difference < 1:
-            raise ValueError(f"difference must be >= 1, got {_show(self.difference)}")
-        for j in range(self.length):
-            value = self.first + j * self.difference
+    def __new__(cls, first, difference, length):
+        for name, value in zip(cls._fields, (first, difference, length)):
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {_show(value)}")
+        if length < 1:
+            raise ValueError(f"length must be >= 1, got {_show(length)}")
+        if difference < 1:
+            raise ValueError(f"difference must be >= 1, got {_show(difference)}")
+        for j in range(length):
+            value = first + j * difference
             if not is_prime(value):
                 raise ValueError(f"term {_show(value)} of the progression is not prime")
+        return tuple.__new__(cls, (first, difference, length))
+
+    _replace = _checked_replace
 
     def term(self, j: int) -> int:
         if not 0 <= j < self.length:
@@ -311,7 +320,7 @@ def generate_reversed(
         if os.path.exists(checkpoint_path):
             stored = searchctl.load_checkpoint(checkpoint_path)
     while len(terms) < num_terms:
-        task = _proven(SearchTask, terms[-2], terms[-1], per_step_bound)
+        task = SearchTask._make((terms[-2], terms[-1], per_step_bound))
         resume, step_path = None, checkpoint_path
         if stored is not None and stored.task == task:
             resume, stored = stored, None
@@ -365,7 +374,7 @@ def green_tao_sequence(k: int, ap: PrimeAp) -> PfibSequence:
         )
     cap = 2 * ap.term(ap.length - 1) + 4
     # PrimeAp proved every member prime
-    return generate_forward(_proven(Seed, ap.term(0), ap.term(n)), cap)
+    return generate_forward(Seed._make((ap.term(0), ap.term(n))), cap)
 
 
 def find_prime_ap(length: int, search_limit: int) -> PrimeAp | None:
@@ -388,26 +397,29 @@ def find_prime_ap(length: int, search_limit: int) -> PrimeAp | None:
             if probe(first + difference) and all(
                 probe(first + j * difference) for j in range(2, length)
             ):
-                return _proven(PrimeAp, first, difference, length)
+                return PrimeAp._make((first, difference, length))
     return None
 
 
-@dataclass(frozen=True)
-class TripleCheck:
+class TripleCheck(namedtuple("TripleCheck", "index premise ratio")):
     """One window a[i], a[i+1], a[i+2] of a reversed sequence.
 
     premise records whether a[i+1] + a[i+2] > 2*a[i]; when it holds the sum
     over a[i] is an even integer ratio >= 4 (a[i] divides the sum and the sum
-    is even, so a ratio above 2 is at least 4).
+    is even, so a ratio above 2 is at least 4).  The index field shadows
+    tuple.index.
     """
 
+    __slots__ = ()
     index: int
     premise: bool
     ratio: int | None
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(
+    namedtuple("GrowthReport", "triples longest_monotone_run log2_ratios alpha")
+):
+    __slots__ = ()
     triples: tuple[TripleCheck, ...]
     longest_monotone_run: int
     log2_ratios: tuple[float, ...]

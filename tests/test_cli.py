@@ -1,10 +1,12 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import pfib
 from pfib.cli import main, parse_bfile
 from pfib.searchctl import Checkpoint, SearchTask, save_checkpoint
 
@@ -491,14 +493,20 @@ class TestEntryPoints:
         assert proc.stdout == "5 7 3 5 | terminated: 8\n"
 
     def test_import_leaves_out_the_pool_stack(self):
-        # a search imports the process-pool machinery only to build a pool
+        # a search imports the process-pool machinery only to build a pool,
+        # and the records are named tuples, so no import loads dataclasses
+        # (or the inspect it imports) or typing; -S keeps site hooks from
+        # loading any of them first
         code = (
             "import sys, pfib, pfib.cli; "
-            "print([m for m in ('concurrent.futures', 'multiprocessing') "
-            "if m in sys.modules])"
+            "print([m for m in ('concurrent.futures', 'multiprocessing', "
+            "'dataclasses', 'inspect', 'typing') if m in sys.modules])"
         )
+        package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_dir},
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -64,7 +63,7 @@ def narrow_shards(monkeypatch):
 class TestSearchTask:
     def test_accepts_valid(self):
         task = SearchTask(439, 7, 10**6)
-        assert dataclasses.astuple(task) == (439, 7, 10**6)
+        assert tuple(task) == (439, 7, 10**6)
         SearchTask(7, 7, 100)
 
     @pytest.mark.parametrize("args", [(2, 7, 100), (9, 7, 100), (7, 2, 100)])
@@ -308,7 +307,7 @@ class TestCheckpointIO:
     def test_refuses_integers_past_str_limit(self, tmp_path, field):
         # the messages must not format these values digit by digit
         huge = -10**5000 if field == "shards_done" else 10**5000
-        checkpoint = dataclasses.replace(make_checkpoint(), **{field: huge})
+        checkpoint = make_checkpoint()._replace(**{field: huge})
         path = str(tmp_path / "cp.json")
         with pytest.raises(CheckpointError, match="bit integer"):
             save_checkpoint(checkpoint, path)
@@ -879,9 +878,7 @@ class TestPoolStart:
     def test_resumed_search_goes_straight_to_pool(self, pools):
         suspended = run_search(self.TASK16, max_shards=1)
         # a checkpoint that has already run for the threshold resumes pooled
-        spent = dataclasses.replace(
-            suspended.checkpoint, wall_seconds=searchctl._POOL_AFTER_S
-        )
+        spent = suspended.checkpoint._replace(wall_seconds=searchctl._POOL_AFTER_S)
         resumed = run_search(self.TASK16, resume_from=spent, workers=2)
         assert resumed.prime == self.A16
         assert resumed.checkpoint.shards_done == 13
@@ -910,7 +907,7 @@ class TestResultInvariants:
         result = run_search(SearchTask(439, 7, 10**6))
         checkpoint = result.checkpoint
         checkpoint.validate()
-        clone = dataclasses.replace(checkpoint, wall_seconds=0.0)
+        clone = checkpoint._replace(wall_seconds=0.0)
         clone.validate()
 
     def test_exhausted_checkpoint_covers_whole_range(self):

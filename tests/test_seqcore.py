@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import pickle
@@ -69,14 +68,14 @@ class TestSeed:
     (searchctl.SearchTask, (406507, 67, 10**12)),
 ])
 def test_proven_record_is_the_checked_one(cls, values, retests):
-    # built without its checks, a record still equals, hashes, pickles and
-    # converts like the one the public constructor checks
-    proven = seqcore._proven(cls, *values)
+    # built by _make, without its checks, a record still equals, hashes,
+    # pickles and converts like the one the public constructor checks
+    proven = cls._make(values)
     assert retests == []
     checked = cls(*values)
     assert proven == checked and hash(proven) == hash(checked)
     assert pickle.loads(pickle.dumps(proven)) == checked
-    assert dataclasses.astuple(proven) == values
+    assert tuple(proven) == values
 
 
 class TestGenerateForward:
@@ -520,6 +519,16 @@ class TestPrimeAp:
             PrimeAp(5, 6, 0)
         with pytest.raises(ValueError, match="difference"):
             PrimeAp(5, 0, 3)
+
+    @pytest.mark.parametrize("args,field", [
+        ((3, 2.0, 3), "difference"),
+        ((3.0, 2, 3), "first"),
+        ((3, 2, 3.0), "length"),
+        ((3, 2, True), "length"),
+    ])
+    def test_rejects_non_integer_field(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            PrimeAp(*args)
 
 
 class TestFindPrimeAp:
