@@ -201,18 +201,24 @@ def sieve_primes(limit: int) -> list[int]:
     primes = list(table_primes[: bisect_right(table_primes, limit)])
     base = table_primes[: bisect_right(table_primes, math.isqrt(limit))]
     for lo in range(_TRIAL_CUTOFF, limit + 1, _SIEVE_WINDOW):
-        width = min(_SIEVE_WINDOW, limit + 1 - lo)
-        flags = bytearray(b"\x01") * width
-        for p in base:  # p < 2**16 <= lo, so every multiple struck is composite
-            i0 = -lo % p
-            if i0 < width:
-                flags[i0::p] = b"\x00" * ((width - i0 + p - 1) // p)
-        find = flags.find
-        pos = find(1)
-        while pos != -1:
-            primes.append(lo + pos)
-            pos = find(1, pos + 1)
+        # base primes are below 2**16 <= lo, so every n struck is composite
+        primes.extend(_unstruck(lo, min(_SIEVE_WINDOW, limit + 1 - lo), base))
     return primes
+
+
+def _unstruck(lo: int, width: int, primes):
+    """Yield, in order, the n in [lo, lo + width) that no prime in `primes`
+    divides; every prime in `primes` is below lo."""
+    flags = bytearray(b"\x01") * width
+    for p in primes:
+        i0 = -lo % p
+        if i0 < width:
+            flags[i0::p] = b"\x00" * ((width - i0 + p - 1) // p)
+    find = flags.find
+    pos = find(1)
+    while pos != -1:
+        yield lo + pos
+        pos = find(1, pos + 1)
 
 
 class CrtSystem(namedtuple("CrtSystem", "congruences combined_modulus solution")):

@@ -85,10 +85,16 @@ def _emit(record: dict) -> None:
 
 
 def _resolve_workers(cli_value: int | None) -> int:
+    cpus = os.cpu_count() or 1
     if cli_value is None:
-        return os.cpu_count() or 1
+        return cpus
     if cli_value < 1:
         raise ValueError(f"workers must be positive, got {cli_value}")
+    # a process pool forks all its workers at its first shard
+    if cli_value > cpus:
+        raise ValueError(
+            f"workers must be at most {cpus}, the CPU count, got {cli_value}"
+        )
     return cli_value
 
 

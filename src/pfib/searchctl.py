@@ -16,9 +16,10 @@ Shards are contiguous multiplier ranges that share O(log) cached lists of
 sieving primes; they may run in parallel but are finalized strictly in
 multiplier order, so a hit is only accepted once every lower shard has
 completed and the result is bit-identical for any worker count.  Every
-minimal left extension in the package runs through `run_search`; a search
-runs in-process for its first 0.1 s (a resumed checkpoint's time counts) and
-starts a process pool only after that, so a short search never pays for one.
+minimal left extension in the package runs through `run_search`, one loop
+that finalizes a shard per pass: it scans the shard in-process for the
+search's first 0.1 s (a resumed checkpoint's time counts), and after that
+takes it from a process pool, so a short search never pays for one.
 A checkpoint records progress only, never an answer: it is written every 30 s
 of a search, and at once on suspension or interrupt.  A finished search
 removes the file it resumed from or wrote, so one that finishes sooner leaves
@@ -33,13 +34,14 @@ import os
 import sys
 import time
 from collections import deque, namedtuple
-from contextlib import closing, suppress
-from functools import lru_cache, partial
+from contextlib import suppress
+from functools import lru_cache
 from math import isqrt
 
 from .arith import (
     _SIEVE_CEILING,
     _show,
+    _unstruck,
     ensure_odd_prime,
     is_prime,
     odd_part,
@@ -248,20 +250,13 @@ def scan_multiplier_range(
     first_width = max(_FIRST_WINDOW, len(primes))
     while lo < j_hi:
         width = min(j_hi - lo, lo - j_start + first_width)
-        flags = bytearray(b"\x01") * width
-        for q in primes:
-            i0 = -lo % q
-            if i0 < width:
-                flags[i0::q] = b"\x00" * ((width - i0 + q - 1) // q)
-        find = flags.find
-        pos = find(1)
-        while pos != -1:
-            u = odd_part(lo + pos)
+        # the sieving primes are below the constraint <= j_start <= lo
+        for j in _unstruck(lo, width, primes):
+            u = odd_part(j)
             if u == 1 or u >= constraint:
-                r = two_c * (lo + pos) - partner
+                r = two_c * j - partner
                 if is_prime(r):
                     return r
-            pos = find(1, pos + 1)
         lo += width
     return None
 
@@ -292,9 +287,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         data = handle.read()
     try:
         # ValueError covers JSONDecodeError, non-ASCII bytes and integers
-        # longer than the interpreter's int-string limit
+        # longer than the interpreter's int-string limit; RecursionError,
+        # arrays or objects nested past the interpreter's recursion limit
         doc = json.loads(data.decode("ascii"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: not valid checkpoint JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: unexpected document fields")
@@ -347,8 +343,9 @@ def run_search(
     outcome does not depend on `workers`.  Shards run in-process until the
     search has run for 0.1 s (a resumed checkpoint's `wall_seconds` count);
     after that, with `workers` > 1, the remaining shards go to a process pool
-    of that size.  `max_shards` suspends the run after that many shards, 0
-    before any (the deterministic stand-in for killing the process).
+    of that size, with up to `workers` + 2 shards submitted at a time.
+    `max_shards` suspends the run after that many shards, 0 before any (the
+    deterministic stand-in for killing the process).
 
     With a `checkpoint_path`, whose directory must exist and be writable
     before any shard is scanned, state is written only where the write
@@ -381,36 +378,71 @@ def run_search(
     if checkpoint_path is not None:
         _check_writable_directory(checkpoint_path)
         on_disk = resume_from is not None and os.path.exists(checkpoint_path)
-    shards_done = shards_before = start.shards_done
-
-    m0 = _least_multiplier(task.constraint_prime, task.partner)
-    m_next = max(start.next_multiplier, _even_ceil(m0))
-    m_end = multiplier_limit(task.constraint_prime, task.partner, task.bound) + 1
-    started = last_write = time.monotonic()
+    c, partner = task.constraint_prime, task.partner
+    m_next = max(start.next_multiplier, _even_ceil(_least_multiplier(c, partner)))
+    m_end = multiplier_limit(c, partner, task.bound) + 1
+    started = time.monotonic()
+    due = started + _CHECKPOINT_INTERVAL  # when the next progress write is due
     written = m_next  # the progress last written; at the start none is new
+    shards = 0  # shards finalized by this call
+    prime = pool = None
 
     def snapshot(next_m: int) -> Checkpoint:
         return Checkpoint(
             task=task,
             next_multiplier=_even_ceil(next_m),
-            shards_done=shards_done,
+            shards_done=start.shards_done + shards,
             wall_seconds=start.wall_seconds + (time.monotonic() - started),
         )
 
     def emit(checkpoint: Checkpoint) -> None:
-        nonlocal on_disk, last_write, written
+        nonlocal on_disk, due, written
         if checkpoint_path is not None:
             save_checkpoint(checkpoint, checkpoint_path)
             on_disk = True
-        last_write = time.monotonic()
+        due = time.monotonic() + _CHECKPOINT_INTERVAL
         written = checkpoint.next_multiplier
 
-    def until_due() -> float:
-        # seconds until the next progress write; the one clock for both paths
-        return last_write + _CHECKPOINT_INTERVAL - time.monotonic()
+    try:
+        while m_next < m_end and shards != max_shards:
+            if (
+                pool is None
+                and workers > 1
+                and start.wall_seconds + (time.monotonic() - started) >= _POOL_AFTER_S
+            ):
+                # imported here: every command-line run would pay for it at import
+                from concurrent.futures import ProcessPoolExecutor
+                from concurrent.futures import TimeoutError as FutureTimeout
 
-    def stop(next_m: int, prime: int | None) -> SearchResult:
-        result = SearchResult(snapshot(next_m), prime)
+                pool, pending = ProcessPoolExecutor(max_workers=workers), deque()
+            if pool is None:
+                hi = min(m_next + DEFAULT_SHARD_WIDTH, m_end)
+                hit = scan_multiplier_range(c, partner, m_next, hi)
+            else:
+                # (hi, future) per shard in multiplier order, from m_next on
+                lo = pending[-1][0] if pending else m_next
+                while lo < m_end and len(pending) < workers + 2:
+                    hi = min(lo + DEFAULT_SHARD_WIDTH, m_end)
+                    future = pool.submit(scan_multiplier_range, c, partner, lo, hi)
+                    pending.append((hi, future))
+                    lo = hi
+                hi, future = pending.popleft()
+                try:
+                    hit = future.result(timeout=max(due - time.monotonic(), 0.0))
+                except FutureTimeout:
+                    # due: write any progress since the last write; the next
+                    # progress is this shard's end, so wait for it
+                    if m_next != written:
+                        emit(snapshot(m_next))
+                    hit = future.result()
+            shards += 1
+            if hit is not None:
+                m_next, prime = (hit + partner) // c, hit
+                break
+            m_next = _even_ceil(hi)
+            if time.monotonic() >= due:
+                emit(snapshot(m_next))
+        result = SearchResult(snapshot(m_next), prime)
         if not result.completed:
             # stopping short always writes: the file is what a resume needs
             emit(result.checkpoint)
@@ -418,59 +450,9 @@ def run_search(
             with suppress(FileNotFoundError):  # removed by hand meanwhile
                 os.remove(checkpoint_path)
         return result
-
-    scan = partial(scan_multiplier_range, task.constraint_prime, task.partner)
-
-    def shard_results():
-        # (hi, hit) per shard in multiplier order
-        lo = m_next
-        while lo < m_end and (
-            workers == 1
-            or start.wall_seconds + (time.monotonic() - started) < _POOL_AFTER_S
-        ):
-            hi = min(lo + DEFAULT_SHARD_WIDTH, m_end)
-            yield hi, scan(lo, hi)
-            lo = hi
-        if lo >= m_end:
-            return
-        # imported here: every command-line run would pay for it at import
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            pending: deque = deque()
-            while lo < m_end or pending:
-                while lo < m_end and len(pending) < workers + 2:
-                    hi = min(lo + DEFAULT_SHARD_WIDTH, m_end)
-                    pending.append((hi, pool.submit(scan, lo, hi)))
-                    lo = hi
-                hi, future = pending.popleft()
-                try:
-                    hit = future.result(timeout=max(until_due(), 0.0))
-                except FutureTimeout:
-                    # due: write any progress since the last write; the next
-                    # progress is this shard's end, so wait for it
-                    if m_next != written:
-                        emit(snapshot(m_next))
-                    hit = future.result()
-                yield hi, hit
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-    try:
-        with closing(shard_results()) as results:
-            for hi, hit in results:
-                shards_done += 1
-                if hit is not None:
-                    m_hit = (hit + task.partner) // task.constraint_prime
-                    return stop(m_hit, hit)
-                m_next = _even_ceil(hi)
-                if max_shards is not None and shards_done - shards_before >= max_shards:
-                    return stop(m_next, None)
-                if until_due() <= 0:
-                    emit(snapshot(m_next))
     except KeyboardInterrupt:
-        stop(m_next, None)
+        emit(snapshot(m_next))
         raise
-    return stop(max(m_next, m_end), None)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

@@ -292,6 +292,16 @@ class TestReversedCommand:
     def test_version_2_checkpoint_is_refused(self, run_cli, checkpoint_v2):
         self.check_old_format_refused(run_cli, checkpoint_v2, 2)
 
+    def test_deeply_nested_checkpoint_is_refused(self, run_cli, tmp_path):
+        # json.loads raises RecursionError on such a file, not a ValueError
+        path = tmp_path / "state.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run_cli(
+            "reversed", "3", "5", "--terms", "4", "--checkpoint", str(path)
+        )
+        assert code == 2 and err.startswith("error:")
+        assert str(path) in err and "not valid checkpoint JSON" in err
+
     def test_checkpoint_in_missing_directory(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "state.json"
         code, _, err = run_cli(
@@ -318,6 +328,19 @@ class TestWorkerResolution:
             "reversed", "3", "5", "--terms", "2", "--format", "records"
         )
         assert records(out)[-1]["inputs"]["workers"] == "5"
+
+    def test_more_than_the_cpu_count_is_refused(self, run_cli, monkeypatch, pools):
+        # a pool forks all its workers at once, so the count is checked
+        # before any search: none may run, nor any pool start
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("pfib.seqcore.generate_reversed", no_search)
+        code, out, err = run_cli("reversed", "3", "5", "--terms", "5", "--workers", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "at most 2, the CPU count, got 3" in err
+        assert pools == []
 
 
 class TestGreenTaoCommand:

@@ -43,6 +43,15 @@ def slow_scan(*args):
     return scan_multiplier_range(*args)
 
 
+def scan_interrupted_at_sixth(constraint, partner, lo, hi):
+    """scan_multiplier_range that raises KeyboardInterrupt on the sixth shard
+    of 64 multipliers from 2; at module level, so that pool workers unpickle
+    it by name and the future re-raises the interrupt in the parent."""
+    if lo == 2 + 64 * 5:
+        raise KeyboardInterrupt
+    return scan_multiplier_range(constraint, partner, lo, hi)
+
+
 def brute_scan(constraint, partner, m_lo, m_hi):
     """Reference for scan_multiplier_range: try every multiplier in order."""
     for m in range(m_lo, m_hi):
@@ -491,6 +500,13 @@ class TestLoadRejections:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    def test_deeply_nested_document(self, tmp_path):
+        path = tmp_path / "cp.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(CheckpointError, match="not valid checkpoint JSON") as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "cp.json"
         path.write_text("[1, 2]")
@@ -833,6 +849,25 @@ class TestCheckpointWrites:
         resumed = run_search(self.TASK, resume_from=on_disk)
         assert resumed.prime == 406507
         assert resumed.checkpoint.shards_done == 15
+
+    def test_interrupt_in_a_pool_writes_the_state_so_far(
+        self, tmp_path, monkeypatch, pools
+    ):
+        monkeypatch.setattr(searchctl, "_POOL_AFTER_S", 0)
+        path = str(tmp_path / "cp.json")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(searchctl, "scan_multiplier_range", scan_interrupted_at_sixth)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(self.TASK, workers=2, checkpoint_path=path)
+        assert pools == [2]
+        # the five shards below the interrupted one were finalized
+        on_disk = load_checkpoint(path)
+        assert on_disk.next_multiplier == 2 + 64 * 5
+        assert on_disk.shards_done == 5
+        resumed = run_search(self.TASK, resume_from=on_disk)
+        uninterrupted = run_search(self.TASK)
+        assert resumed.prime == uninterrupted.prime == 406507
+        assert resumed.checkpoint.shards_done == uninterrupted.checkpoint.shards_done
 
     def test_bad_directory_fails_before_any_scan(self, tmp_path, scans):
         path = str(tmp_path / "missing" / "cp.json")
