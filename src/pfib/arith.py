@@ -22,6 +22,7 @@ from functools import lru_cache
 
 __all__ = [
     "CrtSystem",
+    "FactorBudgetError",
     "crt_solve",
     "ensure_odd_prime",
     "factorize",
@@ -43,6 +44,15 @@ _SIEVE_WINDOW = 1 << 20
 
 # Guard against accidentally asking for an absurd prime list.
 _SIEVE_CEILING = 1 << 32
+
+# Walk steps Brent's rho may take in one `factorize` call (~0.3 s on a
+# 160-bit number): enough for a least factor up to ~2**34, far short of the
+# ~2**40 steps an 80-bit one needs.
+_RHO_BUDGET = 1 << 19
+
+
+class FactorBudgetError(ValueError):
+    """`factorize` spent its rho step budget without splitting a cofactor."""
 
 
 def is_prime(n: int) -> bool:
@@ -101,19 +111,23 @@ def _strong_lucas(n: int) -> bool:
     if j == 0:  # gcd(D, n) > 1, and |D| stays far below n
         return False
     Q = (1 - D) // 4
-    # n + 1 = d * 2**s with d odd; walk the bits of d for U_d, V_d and Q**d
+    # n + 1 = d * 2**s with d odd; walk the bits of d for V_k, V_(k+1) and
+    # Q**k from k = 1, by V_2k = V_k**2 - 2Q**k, V_(2k+1) = V_k V_(k+1) - Q**k
     d = n + 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    half = (n + 1) // 2  # the inverse of 2 modulo the odd n
-    u, v, qk = 1, 1, Q % n
+    Q2 = 2 * Q
+    v, w, qk = 1, (1 - Q2) % n, Q % n
     for bit in bin(d)[3:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
         if bit == "1":
-            u, v = (u + v) * half % n, (D * u + v) * half % n
-            qk = qk * Q % n
-    if u == 0 or v == 0:
+            v, w = (v * w - qk) % n, (w * w - Q2 * qk) % n
+            qk = qk * qk * Q % n
+        else:
+            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
+            qk = qk * qk % n
+    # D U_d = 2 V_(d+1) - V_d, and D is a unit mod n as (D/n) = -1, so
+    # U_d = 0 (mod n) exactly when 2 V_(d+1) = V_d
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
         v = (v * v - 2 * qk) % n
@@ -165,7 +179,9 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
     prime u, else the entry is u's least prime factor, <= sqrt(u) < 2**8
     and so one byte.  Above it, trial division by the primes below 2**16
     covers everything the sequence generators produce; a leftover cofactor
-    beyond 2**32 falls back on `factorize` so the function stays total.
+    beyond 2**32 falls back on `factorize`.  So past 2**64 it is not total:
+    an odd part whose least factor is out of rho's step budget (two ~80-bit
+    primes, say) raises FactorBudgetError.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {_show(n)}")
@@ -265,7 +281,10 @@ def factorize(n: int) -> list[int]:
     """Prime factorization of n >= 1 as a sorted list with multiplicity.
 
     Trial division below 2**16, then Brent's cycle-finding rho on whatever
-    cofactor survives.
+    cofactor survives.  Rho takes at most _RHO_BUDGET walk steps over the
+    whole call, so this is not total: a number with two or more prime
+    factors beyond ~2**34 may raise FactorBudgetError, which names the bit
+    length of the cofactor rho could not split.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {_show(n)}")
@@ -283,26 +302,35 @@ def factorize(n: int) -> list[int]:
         factors.append(n)
         return sorted(factors)
     stack = [n]
+    budget = _RHO_BUDGET
     while stack:
         m = stack.pop()
         if is_prime(m):
             factors.append(m)
             continue
-        d = _brent_rho(m)
+        d, budget = _brent_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
     return sorted(factors)
 
 
-def _brent_rho(n: int) -> int:
+def _brent_rho(n: int, budget: int) -> tuple[int, int]:
     # n is odd, composite, and has no factor below 2**16.  The walk y -> y*y + c
-    # starts at 2; when it closes on n itself, the next c gets a turn.
+    # starts at 2; when it closes on n itself, the next c gets a turn.  Returns
+    # (a proper factor of n, the budget left), and raises once the next round
+    # of 2r walk steps would overrun `budget`.
     for c in itertools.count(1):
         y = 2
         m = 128
         g = r = q = 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise FactorBudgetError(
+                    f"no factor of a {n.bit_length()}-bit integer found "
+                    f"within {_RHO_BUDGET} rho steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -321,4 +349,4 @@ def _brent_rho(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
+            return g, budget

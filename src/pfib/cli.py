@@ -14,6 +14,8 @@ integer as a decimal string.  `reversed` also streams each term as it is
 found: plain words on one line, or one `"event": "term"` record per term.
 A prime given on the command line is read with `int` and tested once, by
 `Seed`, `SearchTask` or `extend_left_crt`.
+`main` builds its parser once per process, on first use; `build_parser`
+returns a new one per call.  Argparse keeps no per-parse state on a parser.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 from . import seqcore
 from .searchctl import CheckpointError
@@ -335,10 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     started = time.perf_counter()

@@ -4,6 +4,8 @@ Everything here favours obviousness over speed: plain trial division, full
 list sieves, linear scans.  None of it shares code with the package.
 """
 
+import math
+
 
 def trial_is_prime(n: int) -> bool:
     if n < 2:
@@ -153,3 +155,55 @@ def prime_ap_scan(length: int, limit: int) -> tuple[int, int] | None:
             if all(first + j * diff in table for j in range(1, length)):
                 return first, diff
     return None
+
+
+def _jacobi(a: int, n: int) -> int:
+    # Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters (method
+    A: the first D in 5, -7, 9, ... with (D/n) = -1, P = 1, Q = (1 - D)/4)
+    for odd n with no prime factor below 67, by the U/V doubling ladder that
+    halves by multiplying with (n + 1)/2.  A square has no such D and is
+    refused."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:  # gcd(D, n) > 1
+        return False
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 modulo the odd n
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v = u * v % n, (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u, v = (u + v) * half % n, (D * u + v) * half % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False

@@ -1,4 +1,5 @@
 import random
+import time
 from bisect import bisect_right
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from pfib import arith
+from pfib import arith, seqcore
 from pfib.arith import (
     CrtSystem,
     crt_solve,
@@ -94,6 +95,46 @@ class TestIsPrime:
     @settings(max_examples=300)
     def test_matches_trial_division(self, n):
         assert is_prime(n) == oracles.trial_is_prime(n)
+
+
+class TestStrongLucas:
+    # the package's V-only ladder against the U/V ladder it replaced, which
+    # halves by multiplying with (n + 1)/2; both take n odd with no prime
+    # factor below 67
+    @staticmethod
+    def check(numbers):
+        for n in numbers:
+            assert arith._strong_lucas(n) == oracles.strong_lucas(n), n
+
+    def test_every_eligible_n_below_2_17(self):
+        small = [p for p in range(3, 67, 2) if oracles.trial_is_prime(p)]
+        eligible = [
+            n for n in range(67, 1 << 17, 2) if all(n % p for p in small)
+        ]
+        assert len(eligible) > 15_000
+        self.check(eligible)
+
+    # the primes after some, where both ladders run to the end, come from
+    # the oracle's Miller-Rabin; the p0 below cover primes of 250-1400 bits
+    @pytest.mark.parametrize("bits,count,primes", [(64, 400, 100), (1400, 12, 0)])
+    def test_random_odd_numbers(self, bits, count, primes):
+        rng = random.Random(bits)
+        numbers = []
+        while len(numbers) < count:
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            if all(n % p for p in range(3, 67, 2)):
+                numbers.append(n)
+        for n in numbers[:primes]:
+            while not oracles.mr_probable_prime(n):
+                n += 2
+            numbers.append(n)
+        self.check(numbers)
+
+    def test_constructions_p0(self):
+        p0s = [seqcore.extend_left_crt(3, p2)[0] for p2 in (199, 397, 599, 797, 997)]
+        assert min(p0.bit_length() for p0 in p0s) > 250
+        self.check(p0s)
+        assert all(arith._strong_lucas(p0) for p0 in p0s)
 
 
 class TestEnsureOddPrime:
@@ -317,3 +358,45 @@ class TestFactorize:
             assert oracles.trial_is_prime(f)
             product *= f
         assert product == n
+
+
+class TestRhoBudget:
+    # 2 * 1181640291642918365944871538900041798133700243321 is the seeds'
+    # sum, and its odd part is a product of two 80-bit primes
+    STALL_SEEDS = (
+        "1181640291642918365944871538900041798133700239031",
+        "1181640291642918365944871538900041798133700247611",
+    )
+
+    def test_budget_refuses_two_80_bit_factors(self):
+        u = sum(int(s) for s in self.STALL_SEEDS) // 2
+        started = time.perf_counter()
+        with pytest.raises(
+            arith.FactorBudgetError,
+            match=f"^no factor of a 160-bit integer found within "
+            f"{arith._RHO_BUDGET} rho steps$",
+        ):
+            smallest_odd_prime_divisor(2 * u)
+        assert time.perf_counter() - started < 2.0  # the budget takes ~0.3 s
+
+    def test_forward_run_past_2_64_stops(self, run_cli):
+        started = time.perf_counter()
+        code, out, err = run_cli("forward", *self.STALL_SEEDS)
+        assert time.perf_counter() - started < 2.0
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: no factor of a 160-bit integer found within "
+            f"{arith._RHO_BUDGET} rho steps\n"
+        )
+
+    def test_least_factor_above_2_30_still_found(self, run_cli):
+        # seeds 67 and 2*p*q - 67, both prime, with primes 2**30 < p < q
+        p, q = 1073741827, 1099511627791
+        assert oracles.trial_is_prime(p) and oracles.trial_is_prime(q)
+        assert 1 << 30 < p < q
+        p2 = 2 * p * q - 67
+        assert oracles.mr_is_prime(p2)
+        assert smallest_odd_prime_divisor(67 + p2) == p
+        code, out, _ = run_cli("forward", "67", str(p2), "--max-terms", "3")
+        assert code == 0
+        assert out == f"67 {p2} {p} | truncated: 3\n"

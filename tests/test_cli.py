@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import pfib
+from pfib import cli
 from pfib.cli import main, parse_bfile
 from pfib.searchctl import Checkpoint, SearchTask, save_checkpoint
 
@@ -504,6 +505,79 @@ class TestParserPlumbing:
         code, out, _ = run_cli("--help")
         assert code == 0
         assert "forward" in out and "verify-bfile" in out
+
+
+class TestParserReuse:
+    CALLS = [
+        ("forward", "5", "7"),
+        ("reversed", "3", "5", "--terms", "6", "--workers", "1",
+         "--format", "records"),
+        ("extend-left", "5", "7", "--method", "crt"),
+        ("green-tao", "--k", "4"),
+        ("verify-bfile", "3", "5", None),  # None stands for the bundled b-file
+        ("--help",),
+        ("reversed", "3", "5"),  # no --terms
+        ("forward", "9", "7"),
+    ]
+
+    @staticmethod
+    def untimed(out: str) -> str:
+        # a records line's "timing" differs from run to run
+        lines = []
+        for line in out.splitlines():
+            if line.startswith("{"):
+                record = json.loads(line)
+                record.pop("timing", None)
+                line = json.dumps(record)
+            lines.append(line)
+        return "\n".join(lines)
+
+    def test_reused_parser_matches_a_fresh_one(self, run_cli, bfile_path):
+        calls = [[bfile_path if a is None else a for a in argv] for argv in self.CALLS]
+        cli._parser.cache_clear()
+        reused = [run_cli(*argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(*argv))
+        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 2]
+        for (code, out, err), (code2, out2, err2) in zip(reused, fresh):
+            assert (code, self.untimed(out), err) == (code2, self.untimed(out2), err2)
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_built_on_the_first_main_not_at_import(self):
+        # a parser built at import would land in every caller's start-up;
+        # -S keeps site hooks from building one first
+        code = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import pfib, pfib.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert pfib.cli.main(['forward', '5', '7']) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
+        )
+        package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_first, after_second = map(int, proc.stdout.split())
+        assert at_import == 0
+        assert after_first > 0
+        assert after_second == after_first
 
 
 class TestEntryPoints:
