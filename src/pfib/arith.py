@@ -9,7 +9,14 @@ Below 2**16 both it and `smallest_odd_prime_divisor` read one lazily built
 64 KB table, whose entry n is 0 for a prime and else n's least prime factor
 (0 and 1 count as non-prime): that factor is below sqrt(2**16) = 2**8, so a
 byte holds it.  The trial-division primes are read off the same table, and
-so is `sieve_primes` below 2**16.
+so is `sieve_primes` below 2**16.  `seqcore.generate_forward` reads the
+table directly for every odd part below 2**16 and calls
+`smallest_odd_prime_divisor` only above it.
+
+Above the table, `smallest_odd_prime_divisor` screens by the primes below
+2**8 and then, below 2**64 where `is_prime` is exact, settles a prime
+before any further trial division; the rest of the primes below 2**16 and
+then Brent's rho find the least factor of a composite.
 """
 
 from __future__ import annotations
@@ -39,20 +46,29 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
 # over beyond it.
 _TRIAL_CUTOFF = 1 << 16
 
+# _trial_tables()[1][:_SCREEN_END] are the primes below 2**8, the screen
+# smallest_odd_prime_divisor divides by before it tests primality.
+_SCREEN_END = 54
+
+# is_prime is exact below this bound: every base-2 strong pseudoprime below
+# 2**64 has been checked against the Lucas test.
+_BPSW_EXACT = 1 << 64
+
 # Segmented sieve window (entries per segment).
 _SIEVE_WINDOW = 1 << 20
 
 # Guard against accidentally asking for an absurd prime list.
 _SIEVE_CEILING = 1 << 32
 
-# Walk steps Brent's rho may take in one `factorize` call (~0.3 s on a
-# 160-bit number): enough for a least factor up to ~2**34, far short of the
-# ~2**40 steps an 80-bit one needs.
+# Walk steps Brent's rho may take in one `factorize` or
+# `smallest_odd_prime_divisor` call (~0.3 s on a 160-bit number): enough
+# for a least factor up to ~2**34, far short of the ~2**40 steps an 80-bit
+# one needs.
 _RHO_BUDGET = 1 << 19
 
 
 class FactorBudgetError(ValueError):
-    """`factorize` spent its rho step budget without splitting a cofactor."""
+    """Brent's rho spent its step budget without splitting a cofactor."""
 
 
 def is_prime(n: int) -> bool:
@@ -162,14 +178,27 @@ def odd_part(n: int) -> int:
 @lru_cache(maxsize=1)
 def _trial_tables() -> tuple[bytes, tuple[int, ...]]:
     # (least-factor table, primes below 2**16).  Striking the multiples of
-    # p from p*p on, for p = isqrt(2**16 - 1) = 255 down to 2, leaves the
-    # least factor last.
+    # each prime p from p*p on, for p = isqrt(2**16 - 1) = 255 down to 2,
+    # leaves the least factor last.  The composites up to 255 are marked
+    # first, by the primes up to 15, so that only primes strike: a larger
+    # prime's strike starts past 255 and leaves those marks alone.
     table = bytearray(_TRIAL_CUTOFF)
     table[0] = table[1] = 1
-    for p in range(math.isqrt(_TRIAL_CUTOFF - 1), 1, -1):
-        table[p * p :: p] = bytes((p,)) * ((_TRIAL_CUTOFF - 1 - p * p) // p + 1)
+    root = math.isqrt(_TRIAL_CUTOFF - 1)
+    for p in range(2, math.isqrt(root) + 1):
+        if not table[p]:
+            table[p * p : root + 1 : p] = b"\x01" * ((root - p * p) // p + 1)
+    for p in range(root, 1, -1):
+        if not table[p]:
+            table[p * p :: p] = bytes((p,)) * ((_TRIAL_CUTOFF - 1 - p * p) // p + 1)
+    # every prime above 3 is 1 or 5 mod 6: read the two residue classes off
+    # the table and merge them, a third of the entries in all
     prime_flags = table.translate(b"\x01" + bytes(255))
-    return bytes(table), tuple(itertools.compress(range(_TRIAL_CUTOFF), prime_flags))
+    wheel = itertools.chain(
+        itertools.compress(range(5, _TRIAL_CUTOFF, 6), prime_flags[5::6]),
+        itertools.compress(range(7, _TRIAL_CUTOFF, 6), prime_flags[7::6]),
+    )
+    return bytes(table), (2, 3, *sorted(wheel))
 
 
 def smallest_odd_prime_divisor(n: int) -> int | None:
@@ -177,9 +206,12 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
 
     An odd part u below 2**16 is read off the least-factor table: 0 marks a
     prime u, else the entry is u's least prime factor, <= sqrt(u) < 2**8
-    and so one byte.  Above it, trial division by the primes below 2**16
-    covers everything the sequence generators produce; a leftover cofactor
-    beyond 2**32 falls back on `factorize`.  So past 2**64 it is not total:
+    and so one byte.  Above it, u is screened by the primes below 2**8.
+    Below 2**64, where `is_prime` is exact, a prime u is then returned
+    without further trial division; above 2**64, where the test is not
+    proven, trial division by the rest of the primes below 2**16 comes
+    first.  A u with no factor below 2**16, so beyond 2**32, falls back on
+    Brent's rho, as in `factorize`.  So past 2**64 it is not total:
     an odd part whose least factor is out of rho's step budget (two ~80-bit
     primes, say) raises FactorBudgetError.
     """
@@ -191,15 +223,18 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
     least, primes = _trial_tables()
     if u < _TRIAL_CUTOFF:
         return least[u] or u
-    root = math.isqrt(u)
-    for p in primes:  # 2 never divides the odd u
-        if p > root:
-            return u  # no divisor <= sqrt(u): u is prime
+    for p in primes[1:_SCREEN_END]:  # 2 never divides the odd u
         if u % p == 0:
             return p
-    if is_prime(u):
+    if u < _BPSW_EXACT and is_prime(u):
         return u
-    return min(factorize(u))
+    # a composite u < 2**32 has a factor below 2**16, so the division ends
+    # before the primes run out, and a prime u >= 2**64 reaches the rho
+    # step, whose first primality test returns it
+    for p in itertools.islice(primes, _SCREEN_END, None):
+        if u % p == 0:
+            return p
+    return min(_rho_factors(u))
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -300,7 +335,16 @@ def factorize(n: int) -> list[int]:
     if n < (_TRIAL_CUTOFF + 1) ** 2:
         # no factor below 2**16 and n <= ~2**32: n is prime
         factors.append(n)
-        return sorted(factors)
+    else:
+        factors += _rho_factors(n)
+    return sorted(factors)
+
+
+def _rho_factors(n: int) -> list[int]:
+    # The prime factors of n > 1, which has no factor below 2**16, in no
+    # order: each piece is tested for primality, and Brent's rho splits a
+    # composite one, within _RHO_BUDGET walk steps over the whole call.
+    factors = []
     stack = [n]
     budget = _RHO_BUDGET
     while stack:
@@ -311,7 +355,7 @@ def factorize(n: int) -> list[int]:
         d, budget = _brent_rho(m, budget)
         stack.append(d)
         stack.append(m // d)
-    return sorted(factors)
+    return factors
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int, int]:

@@ -10,8 +10,11 @@ errors to an `error: ...` line on stderr (ValueError, CheckpointError and
 OSError exit 2, BoundExhaustedError exits 3) and prints either `plain_text`
 or, under `--format records`, one JSON record
 `{"command", "inputs", "result", "timing"}` with every potentially large
-integer as a decimal string.  `reversed` also streams each term as it is
-found: plain words on one line, or one `"event": "term"` record per term.
+integer as a decimal string.  `forward` and `reversed` stream each term as
+it is found: in plain format as words on one line, which is ended also when
+an error stops the run, so the terms found before it stay on stdout; under
+`--format records`, `reversed` writes one `"event": "term"` record per term
+and `forward` only its one final record.
 A prime given on the command line is read with `int` and tested once, by
 `Seed`, `SearchTask` or `extend_left_crt`.
 `main` builds its parser once per process, on first use; `build_parser`
@@ -109,17 +112,39 @@ def _forward_suffix(seq) -> str:
     return f"truncated: {seq.limit}"
 
 
+def _write_term(index: int, value: int) -> None:
+    # a streamed plain term: the line's first word, or the next one
+    sys.stdout.write(f" {value}" if index else f"{value}")
+    sys.stdout.flush()
+
+
 def cmd_forward(args) -> _Outcome:
     seed = Seed(int(args.p1), int(args.p2))
-    seq = seqcore.generate_forward(seed, args.max_terms)
+    records = args.format == "records"
+    line_open = False  # no term is written before max_terms is checked
+
+    def on_term(index: int, value: int) -> None:
+        nonlocal line_open
+        line_open = True
+        _write_term(index, value)
+
+    suffix = ""
+    try:
+        seq = seqcore.generate_forward(
+            seed, args.max_terms, on_term=None if records else on_term
+        )
+        suffix = f" | {_forward_suffix(seq)}"
+    finally:
+        if line_open:
+            # end the streamed line, with no suffix on an error or Ctrl-C
+            print(suffix, flush=True)
     inputs = {"p1": str(seed.p1), "p2": str(seed.p2), "max_terms": str(args.max_terms)}
     result = {"terms": [str(t) for t in seq.terms], "status": seq.status.value}
     if seq.final_sum is not None:
         result["final_sum"] = str(seq.final_sum)
     if seq.limit is not None:
         result["limit"] = str(seq.limit)
-    text = f"{' '.join(str(t) for t in seq.terms)} | {_forward_suffix(seq)}"
-    return EXIT_OK, inputs, result, text
+    return EXIT_OK, inputs, result, ""
 
 
 def cmd_extend_left(args) -> _Outcome:
@@ -173,8 +198,7 @@ def cmd_reversed(args) -> _Outcome:
                 }
             )
         else:
-            sys.stdout.write(f" {value}" if index else f"{value}")
-            sys.stdout.flush()
+            _write_term(index, value)
 
     try:
         seq = seqcore.generate_reversed(

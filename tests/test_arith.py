@@ -182,6 +182,18 @@ def test_huge_arguments_named_by_size(call):
 
 
 class TestLeastFactorTable:
+    def test_primes_match_oracle(self):
+        table_primes = arith._trial_tables()[1]
+        assert table_primes == tuple(oracles.simple_primes((1 << 16) - 1))
+        assert table_primes[: arith._SCREEN_END] == tuple(oracles.simple_primes(255))
+
+    def test_entries_are_least_factors(self):
+        table = arith._trial_tables()[0]
+        assert table[:2] == b"\x01\x01"
+        for n in range(2, 1 << 16):
+            least = 2 if n % 2 == 0 else oracles.sopd_trial(n)
+            assert table[n] == (0 if least == n else least), n
+
     def test_matches_oracles_across_the_cutoff(self):
         # [1, 2**17) spans the table's 2**16 edge and the trial division above
         for n in range(1, 1 << 17):
@@ -224,6 +236,75 @@ class TestSmallestOddPrimeDivisor:
     @settings(max_examples=300)
     def test_matches_trial_division(self, n):
         assert smallest_odd_prime_divisor(n) == oracles.sopd_trial(n)
+
+
+class TestAboveTheTable:
+    """smallest_odd_prime_divisor past 2**16: a screen by the primes below
+    2**8, then below 2**64 a primality test before the rest of the trial
+    division, and above 2**64 the trial division first."""
+
+    def test_around_2_32_matches_oracle(self):
+        for n in range((1 << 32) - 300, (1 << 32) + 300):
+            assert smallest_odd_prime_divisor(n) == oracles.sopd_trial(n), n
+
+    @pytest.mark.parametrize("n", [
+        257 * 257, 257 * 65537, 4099 * 65521, 65521 * 65521,
+        65521 * 4294967291,
+        65521 * (2**61 - 1),  # above 2**64
+        257 * (2**89 - 1),  # above 2**64, with a prime cofactor
+    ])
+    def test_least_factor_between_2_8_and_2_16(self, n):
+        assert smallest_odd_prime_divisor(n) == oracles.sopd_trial(n)
+        assert smallest_odd_prime_divisor(2 * n) == oracles.sopd_trial(n)
+
+    @pytest.mark.parametrize("n", [
+        65537 * 65539, 65539 * 65543, 65537 * 65539 * 65543,
+        65557 * 4294967291, 65537 * 140737488355213,
+    ])
+    def test_no_factor_below_2_16_below_2_64(self, n):
+        assert n < 1 << 64
+        assert smallest_odd_prime_divisor(n) == oracles.sopd_trial(n)
+
+    @pytest.fixture
+    def primality_tests(self, monkeypatch):
+        calls = []
+        original = arith.is_prime
+
+        def spy(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(arith, "is_prime", spy)
+        return calls
+
+    def test_prime_below_2_64_is_tested_at_once(self, primality_tests):
+        p = 2**61 - 1
+        assert smallest_odd_prime_divisor(4 * p) == p
+        assert primality_tests == [p]
+
+    def test_composite_below_2_64_is_tested_then_divided(self, primality_tests):
+        n = 65521 * 4294967291
+        assert smallest_odd_prime_divisor(n) == 65521
+        assert primality_tests == [n]
+
+    def test_above_2_64_trial_division_comes_first(self, primality_tests):
+        assert smallest_odd_prime_divisor(65521 * (2**61 - 1)) == 65521
+        assert primality_tests == []
+
+    def test_prime_above_2_64_after_trial_division(self, primality_tests):
+        p = 2**89 - 1
+        assert oracles.mr_probable_prime(p)
+        assert smallest_odd_prime_divisor(p) == p
+        assert primality_tests == [p]
+
+    def test_rho_fallback_skips_factorize(self, monkeypatch):
+        # the trial division is done once: rho runs on u directly
+        def refused(n):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(arith, "factorize", refused)
+        assert smallest_odd_prime_divisor(2 * 1000003 * 1000033) == 1000003
+        assert smallest_odd_prime_divisor(1000003**2) == 1000003
 
 
 class TestSievePrimes:
@@ -380,14 +461,20 @@ class TestRhoBudget:
         assert time.perf_counter() - started < 2.0  # the budget takes ~0.3 s
 
     def test_forward_run_past_2_64_stops(self, run_cli):
+        # the two seed terms were streamed before the sum was refused
         started = time.perf_counter()
         code, out, err = run_cli("forward", *self.STALL_SEEDS)
         assert time.perf_counter() - started < 2.0
-        assert code == 2 and out == ""
+        assert code == 2 and out == " ".join(self.STALL_SEEDS) + "\n"
         assert err == (
             f"error: no factor of a 160-bit integer found within "
             f"{arith._RHO_BUDGET} rho steps\n"
         )
+
+    def test_refused_forward_run_writes_no_record(self, run_cli):
+        code, out, err = run_cli("forward", *self.STALL_SEEDS, "--format", "records")
+        assert code == 2 and out == ""
+        assert err.startswith("error: no factor of a 160-bit integer")
 
     def test_least_factor_above_2_30_still_found(self, run_cli):
         # seeds 67 and 2*p*q - 67, both prime, with primes 2**30 < p < q

@@ -84,6 +84,18 @@ class TestForwardCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "max_terms" in err
 
+    def test_interrupt_ends_the_streamed_line(self, run_cli, monkeypatch):
+        def interrupted(seed, max_terms, *, on_term):
+            on_term(0, seed.p1)
+            on_term(1, seed.p2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("pfib.seqcore.generate_forward", interrupted)
+        code, out, err = run_cli("forward", "5", "7")
+        assert code == 130 and "interrupted" in err
+        assert out == "5 7\n"
+
+
 class TestExtendLeftCommand:
     def test_minimal_plain(self, run_cli):
         code, out, _ = run_cli("extend-left", "5", "7")

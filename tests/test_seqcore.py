@@ -123,7 +123,7 @@ class TestGenerateForward:
         seen = set()
         for p1 in odd_primes:
             for p2 in odd_primes:
-                for max_terms in (4, 1000):
+                for max_terms in (2, 3, 4, 1000):
                     terms = oracles.forward_scan(p1, p2, max_terms)
                     total = terms[-2] + terms[-1]
                     if terms[-2] == terms[-1]:
@@ -137,6 +137,78 @@ class TestGenerateForward:
                     assert (seq.status, seq.final_sum, seq.limit) == expected
                     seen.add(seq.status)
         assert seen == set(ForwardStatus)
+
+    # primes on both sides of the table's 2**16 edge and of 2**32
+    EDGE_PRIMES = (
+        65519, 65521, 65537, 65539, 65543, 65551, 65557,
+        4294967279, 4294967291, 4294967311, 4294967357, 4294967371, 4294967377,
+    )
+
+    def test_sums_across_2_16_and_2_32_match_oracle(self, monkeypatch):
+        odd_parts = []
+        original = seqcore.smallest_odd_prime_divisor
+
+        def spy(u):
+            odd_parts.append(u)
+            return original(u)
+
+        monkeypatch.setattr(seqcore, "smallest_odd_prime_divisor", spy)
+        for p1 in self.EDGE_PRIMES:
+            for p2 in self.EDGE_PRIMES:
+                seq = generate_forward(Seed(p1, p2), 1000)
+                assert list(seq.terms) == oracles.forward_scan(p1, p2, 1000)
+        # the fallback saw only odd parts past the table, on both sides of 2**32
+        assert all(u % 2 == 1 and u >= 1 << 16 for u in odd_parts)
+        assert any(u < 1 << 32 for u in odd_parts)
+        assert any(u > 1 << 32 for u in odd_parts)
+
+    def test_odd_parts_below_2_16_are_read_off_the_table(self, monkeypatch):
+        def refused(n):
+            raise AssertionError(f"smallest_odd_prime_divisor({n}) called")
+
+        monkeypatch.setattr(seqcore, "smallest_odd_prime_divisor", refused)
+        # every sum of two primes below 1000 and each later one is below 2**16
+        odd_primes = oracles.simple_primes(1000)[1:]
+        for p1 in odd_primes:
+            for p2 in odd_primes:
+                generate_forward(Seed(p1, p2), 1000)
+
+    def test_odd_parts_above_2_16_call_the_divisor_function(self, monkeypatch):
+        # the module-global call is what a tracer wrapping it sees
+        calls = []
+        original = seqcore.smallest_odd_prime_divisor
+
+        def spy(u):
+            calls.append(u)
+            return original(u)
+
+        monkeypatch.setattr(seqcore, "smallest_odd_prime_divisor", spy)
+        seq = generate_forward(Seed(67, 406507), 1000)
+        assert seq.terms == tuple(reversed(A255562))
+        assert calls[0] == (67 + 406507) // 2
+        assert all(u >= 1 << 16 for u in calls)
+
+    @pytest.mark.parametrize("seed,max_terms", [
+        ((67, 406507), 1000), ((5, 7), 3), ((3, 3), 1000), ((3, 5), 2),
+    ])
+    def test_streaming_callback(self, seed, max_terms):
+        seen = []
+        seq = generate_forward(
+            Seed(*seed), max_terms, on_term=lambda i, v: seen.append((i, v))
+        )
+        assert seen == list(enumerate(seq.terms))
+
+    def test_streaming_callback_keeps_terms_before_a_refused_sum(self, monkeypatch):
+        def refused(u):
+            raise arith.FactorBudgetError("refused")
+
+        monkeypatch.setattr(seqcore, "smallest_odd_prime_divisor", refused)
+        seen = []
+        with pytest.raises(arith.FactorBudgetError):
+            generate_forward(
+                Seed(67, 406507), 1000, on_term=lambda i, v: seen.append((i, v))
+            )
+        assert seen == [(0, 67), (1, 406507)]
 
 
 HUGE = -(10**5000)
