@@ -17,18 +17,18 @@ an error stops the run, so the terms found before it stay on stdout; under
 and `forward` only its one final record.
 A prime given on the command line is read with `int` and tested once, by
 `Seed`, `SearchTask` or `extend_left_crt`.
-`main` builds its parser once per process, on first use; `build_parser`
-returns a new one per call.  Argparse keeps no per-parse state on a parser.
+`_parse` reads the command line against one table, `_COMMANDS`, without
+argparse.  It accepts and refuses what argparse did, in argparse's words,
+and keeps no state between calls; a usage error exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import time
-from functools import cache
+from types import SimpleNamespace
 
 from . import seqcore
 from .searchctl import CheckpointError
@@ -231,6 +231,8 @@ def cmd_reversed(args) -> _Outcome:
 def cmd_green_tao(args) -> _Outcome:
     if args.k < 3:
         raise ValueError(f"--k must be at least 3, got {args.k}")
+    if args.search_limit < 1:
+        raise ValueError(f"--search-limit must be positive, got {args.search_limit}")
     needed = (1 << (args.k - 2)) + 1
     if args.ap is not None:
         fields = args.ap.split(",")
@@ -303,75 +305,140 @@ def cmd_verify_bfile(args) -> _Outcome:
     return EXIT_OK, inputs, result, f"ok: {len(entries)} terms match"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pfib", description="prime Fibonacci sequence toolkit"
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("plain", "records"),
-        default="plain",
-        help="plain text or one JSON record per line",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forward", parents=[common], help="run the forward recurrence")
-    p.add_argument("p1")
-    p.add_argument("p2")
-    p.add_argument("--max-terms", type=int, default=1000)
-    p.set_defaults(func=cmd_forward)
-
-    p = sub.add_parser(
-        "extend-left", parents=[common], help="find a left extension of a prime pair"
-    )
-    p.add_argument("p1")
-    p.add_argument("p2")
-    p.add_argument("--method", choices=("minimal", "crt"), default="minimal")
-    p.add_argument("--bound", type=int, default=10**6)
-    p.add_argument("--max-steps", type=int, default=seqcore.DEFAULT_DIRICHLET_STEPS)
-    p.set_defaults(func=cmd_extend_left)
-
-    p = sub.add_parser(
-        "reversed", parents=[common], help="generate the reversed sequence"
-    )
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10**7)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--checkpoint", default=None, metavar="PATH")
-    p.set_defaults(func=cmd_reversed)
-
-    p = sub.add_parser(
-        "green-tao", parents=[common], help="build a length-k sequence from a prime AP"
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--ap", default=None, metavar="FIRST,DIFF,LEN")
-    p.add_argument("--search-limit", type=int, default=1000)
-    p.set_defaults(func=cmd_green_tao)
-
-    p = sub.add_parser(
-        "verify-bfile", parents=[common], help="check a b-file against the generator"
-    )
-    p.add_argument("p")
-    p.add_argument("q")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_verify_bfile)
-
-    return parser
+class _Exit(Exception):
+    """Ends a parse that runs no command: (exit code, help or error text)."""
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+# command -> (handler, help, positionals, options).  An option is (--name,
+# type, choices or None, default or _REQUIRED, help), read into args.name
+# with "_" for "-"; every command also takes _FORMAT.
+_REQUIRED = object()
+_FORMAT = ("--format", str, ("plain", "records"), "plain",
+           "plain text or one JSON record per line")
+_COMMANDS = {
+    "forward": (cmd_forward, "run the forward recurrence", ("p1", "p2"), [
+        ("--max-terms", int, None, 1000, "most terms to generate")]),
+    "extend-left": (cmd_extend_left, "find a left extension of a prime pair",
+                    ("p1", "p2"), [
+        ("--method", str, ("minimal", "crt"), "minimal", "least p0 or the CRT one"),
+        ("--bound", int, None, 10**6, "largest p0 the minimal method tries"),
+        ("--max-steps", int, None, seqcore.DEFAULT_DIRICHLET_STEPS,
+         "most progression terms the crt method tries")]),
+    "reversed": (cmd_reversed, "generate the reversed sequence", ("p", "q"), [
+        ("--terms", int, None, _REQUIRED, "terms to generate, the seeds included"),
+        ("--bound", int, None, 10**7, "largest candidate of each step"),
+        ("--workers", int, None, None, "search processes (default: the CPU count)"),
+        ("--checkpoint", str, None, None, "file that saves and resumes a search")]),
+    "green-tao": (cmd_green_tao, "build a length-k sequence from a prime AP", (), [
+        ("--k", int, None, _REQUIRED, "least sequence length, at least 3"),
+        ("--ap", str, None, None, "FIRST,DIFF,LEN of a prime AP (default: search)"),
+        ("--search-limit", int, None, 1000, "largest first term of a searched AP")]),
+    "verify-bfile": (cmd_verify_bfile, "check a b-file against the generator",
+                     ("p", "q", "path"), []),
+}
+
+
+def _help(command) -> str:
+    """The help of pfib or of one command; its first line is the usage."""
+    rows = [("-h, --help", "show this help and exit")]
+    if command is None:
+        about = "prime Fibonacci sequence toolkit"
+        usage = ["{%s} ..." % ",".join(_COMMANDS)]
+        rows += [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    else:
+        _, about, positionals, options = _COMMANDS[command]
+        usage = []
+        for name, _, choices, default, text in (_FORMAT, *options):
+            metavar = "{%s}" % ",".join(choices) if choices else name[2:].upper()
+            rows.append((f"{name} {metavar}", text))
+            usage.append(rows[-1][0] if default is _REQUIRED else f"[{rows[-1][0]}]")
+        usage += positionals
+    usage = " ".join(["usage: pfib", *filter(None, [command]), "[-h]", *usage])
+    lines = [f"  {form:<27}  {text}" for form, text in rows]
+    return "\n".join([usage, "", about, "", *lines])
+
+
+def _is_option(arg: str) -> bool:
+    # as argparse reads a word: "-" alone and negative numbers are values
+    number = arg[1:].replace(".", "", 1).isdecimal()
+    return arg[:1] == "-" and arg != "-" and not number
+
+
+def _read(name: str, kind, choices, word: str):
+    # word as argparse read it for the argument name, or ValueError in its words
+    try:
+        value = kind(word)
+    except ValueError:
+        raise ValueError(f"argument {name}: invalid int value: {word!r}") from None
+    if choices and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise ValueError(
+            f"argument {name}: invalid choice: {word!r} (choose from {listed})")
+    return value
+
+
+def _parse(argv) -> SimpleNamespace:
+    """Read argv against _COMMANDS as argparse read it: options anywhere,
+    --name value or --name=value, a unique prefix of a --name, the last
+    repeat winning, every word after "--" a positional.  Raises _Exit."""
+    args = SimpleNamespace(command=None)
+    options, positionals, given, extras = {}, (), [], []
+    words, literal = iter(argv), False
+    try:
+        for arg in words:
+            if arg == "--" and not literal:
+                literal = True
+            elif _is_option(arg) and not literal:
+                name, has_value, value = arg.partition("=")
+                known = ["-h", "--help", *options]
+                found = [name] if name in known else [
+                    o for o in known if name[:2] == "--" and o.startswith(name)]
+                if len(found) > 1:
+                    found = ", ".join(found)
+                    raise ValueError(f"ambiguous option: {arg} could match {found}")
+                if found and found[0] in ("-h", "--help"):
+                    raise _Exit(EXIT_OK, _help(args.command))
+                if not found:
+                    extras.append(arg)
+                    continue
+                option = found[0]
+                dest, kind, choices, _ = options[option]
+                if not has_value:
+                    value = next(words, "--")  # "--" stands for no word left
+                    if _is_option(value):
+                        raise ValueError(f"argument {option}: expected one argument")
+                setattr(args, dest, _read(option, kind, choices, value))
+            elif args.command:
+                (given if len(given) < len(positionals) else extras).append(arg)
+            else:
+                _read("command", str, _COMMANDS, arg)
+                args.command, (args.func, _, positionals, more) = arg, _COMMANDS[arg]
+                # --name -> (args field, type, choices, default)
+                options = {o[0]: (o[0][2:].replace("-", "_"), *o[1:4])
+                           for o in (_FORMAT, *more)}
+                vars(args).update((spec[0], spec[3]) for spec in options.values())
+        missing = [*positionals[len(given):]] + [
+            o for o, spec in options.items() if getattr(args, spec[0]) is _REQUIRED]
+        if not args.command or missing:
+            missing = ", ".join(missing) or "command"
+            raise ValueError(f"the following arguments are required: {missing}")
+        if extras:
+            raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    except ValueError as exc:
+        prog = " ".join(filter(None, ["pfib", args.command]))
+        usage = _help(args.command).split("\n")[0]
+        raise _Exit(EXIT_USAGE, f"{usage}\n{prog}: error: {exc}") from None
+    vars(args).update(zip(positionals, given))
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        code, text = exc.args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     started = time.perf_counter()
     try:
         code, inputs, result, text = args.func(args)

@@ -4,6 +4,7 @@ Everything here favours obviousness over speed: plain trial division, full
 list sieves, linear scans.  None of it shares code with the package.
 """
 
+import argparse
 import math
 
 
@@ -207,3 +208,65 @@ def strong_lucas(n: int) -> bool:
             return True
         qk = qk * qk % n
     return False
+
+
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The argparse parser `pfib` had before its table parser, kept as the
+    reference for what the command line accepts.  Each command's `func` is
+    the name of its handler in `pfib.cli`."""
+    parser = argparse.ArgumentParser(
+        prog="pfib", description="prime Fibonacci sequence toolkit"
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format",
+        choices=("plain", "records"),
+        default="plain",
+        help="plain text or one JSON record per line",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("forward", parents=[common], help="run the forward recurrence")
+    p.add_argument("p1")
+    p.add_argument("p2")
+    p.add_argument("--max-terms", type=int, default=1000)
+    p.set_defaults(func="cmd_forward")
+
+    p = sub.add_parser(
+        "extend-left", parents=[common], help="find a left extension of a prime pair"
+    )
+    p.add_argument("p1")
+    p.add_argument("p2")
+    p.add_argument("--method", choices=("minimal", "crt"), default="minimal")
+    p.add_argument("--bound", type=int, default=10**6)
+    p.add_argument("--max-steps", type=int, default=10**6)  # DEFAULT_DIRICHLET_STEPS
+    p.set_defaults(func="cmd_extend_left")
+
+    p = sub.add_parser(
+        "reversed", parents=[common], help="generate the reversed sequence"
+    )
+    p.add_argument("p")
+    p.add_argument("q")
+    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--bound", type=int, default=10**7)
+    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--checkpoint", default=None, metavar="PATH")
+    p.set_defaults(func="cmd_reversed")
+
+    p = sub.add_parser(
+        "green-tao", parents=[common], help="build a length-k sequence from a prime AP"
+    )
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--ap", default=None, metavar="FIRST,DIFF,LEN")
+    p.add_argument("--search-limit", type=int, default=1000)
+    p.set_defaults(func="cmd_green_tao")
+
+    p = sub.add_parser(
+        "verify-bfile", parents=[common], help="check a b-file against the generator"
+    )
+    p.add_argument("p")
+    p.add_argument("q")
+    p.add_argument("path")
+    p.set_defaults(func="cmd_verify_bfile")
+
+    return parser

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -6,6 +8,7 @@ import sys
 
 import pytest
 
+import oracles
 import pfib
 from pfib import cli
 from pfib.cli import main, parse_bfile
@@ -372,6 +375,20 @@ class TestGreenTaoCommand:
         assert code == 0
         assert out.splitlines()[2] == "sequence: 3 7 5 3 | terminated: 8"
 
+    def test_k6_from_a_known_17_term_ap(self, run_cli):
+        # k = 6 needs 2**4 + 1 = 17 primes in progression, beyond what
+        # find_prime_ap reaches by brute force; every member is below 2**64
+        ap = "3430751869,87297210,17"
+        code, out, err = run_cli("green-tao", "--k", "6", "--ap", ap)
+        assert (code, err) == (0, "")
+        assert out == (
+            "ap: first=3430751869 difference=87297210 length=17\n"
+            "indices: 0 16 8 12 10 11\n"
+            "sequence: 3430751869 4827507229 4129129549 4478318389 4303723969"
+            " 4391021179 2173686287 3 5 | terminated: 8\n"
+            "length: 9 (required >= 6)\n"
+        )
+
     def test_records_k5(self, run_cli):
         code, out, _ = run_cli("green-tao", "--k", "5", "--format", "records")
         assert code == 0
@@ -391,11 +408,19 @@ class TestGreenTaoCommand:
         assert out == ""
         assert "length 9" in err
 
+    def test_search_limit_one_is_genuine_exhaustion(self, run_cli):
+        code, out, err = run_cli("green-tao", "--k", "3", "--search-limit", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: no prime progression of length 3 with first term <= 1\n"
+
     @pytest.mark.parametrize("argv,fragment", [
         (("green-tao", "--k", "2"), "--k"),
         (("green-tao", "--k", "3", "--ap", "3,2"), "first,difference,length"),
         (("green-tao", "--k", "3", "--ap", "9,2,3"), "not prime"),
         (("green-tao", "--k", "4", "--ap", "3,2,3"), "length 5"),
+        (("green-tao", "--k", "3", "--search-limit", "-5"),
+         "--search-limit must be positive, got -5"),
+        (("green-tao", "--k", "3", "--search-limit", "0"), "--search-limit"),
     ])
     def test_rejects_bad_arguments(self, run_cli, argv, fragment):
         code, _, err = run_cli(*argv)
@@ -514,9 +539,129 @@ class TestParserPlumbing:
         assert code == 2
 
     def test_help_exits_zero(self, run_cli):
-        code, out, _ = run_cli("--help")
-        assert code == 0
-        assert "forward" in out and "verify-bfile" in out
+        # and lists every command with its help
+        code, out, err = run_cli("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: pfib [-h] {forward,extend-left,reversed,")
+        for command, (_, text, _, _) in cli._COMMANDS.items():
+            assert any(line.split() == [command, *text.split()]
+                       for line in out.splitlines()), command
+
+    @pytest.mark.parametrize("argv", [
+        ("reversed", "--help"), ("reversed", "3", "-h"), ("reversed", "--he"),
+    ])
+    def test_command_help_lists_every_option(self, run_cli, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == (
+            "usage: pfib reversed [-h] [--format {plain,records}] --terms TERMS"
+            " [--bound BOUND] [--workers WORKERS] [--checkpoint CHECKPOINT] p q"
+        )
+        for form, text in [
+            ("--format {plain,records}", "plain text or one JSON record per line"),
+            ("--terms TERMS", "terms to generate, the seeds included"),
+            ("--bound BOUND", "largest candidate of each step"),
+            ("--workers WORKERS", "search processes (default: the CPU count)"),
+            ("--checkpoint CHECKPOINT", "file that saves and resumes a search"),
+        ]:
+            assert any(line.split() == [*form.split(), *text.split()]
+                       for line in lines), form
+
+    # argparse's wording for each kind of usage error, which _parse keeps
+    @pytest.mark.parametrize("argv,usage,message", [
+        ((), "usage: pfib [-h] {forward,extend-left,reversed,green-tao,verify-bfile}",
+         "pfib: error: the following arguments are required: command"),
+        (("summon",), None,
+         "pfib: error: argument command: invalid choice: 'summon' (choose from "
+         "'forward', 'extend-left', 'reversed', 'green-tao', 'verify-bfile')"),
+        (("reversed", "3", "5"), "usage: pfib reversed [-h] ",
+         "pfib reversed: error: the following arguments are required: --terms"),
+        (("reversed", "--terms", "4"), None,
+         "pfib reversed: error: the following arguments are required: p, q"),
+        (("reversed", "3", "5", "--terms", "x"), None,
+         "pfib reversed: error: argument --terms: invalid int value: 'x'"),
+        (("reversed", "3", "5", "--terms"), None,
+         "pfib reversed: error: argument --terms: expected one argument"),
+        (("forward", "5", "7", "--format=json"), "usage: pfib forward [-h] ",
+         "pfib forward: error: argument --format: invalid choice: 'json' "
+         "(choose from 'plain', 'records')"),
+        (("extend-left", "5", "7", "--m", "crt"), None,
+         "pfib extend-left: error: ambiguous option: --m could match --method, "
+         "--max-steps"),
+        (("forward", "5", "7", "9", "--bogus"), None,
+         "pfib forward: error: unrecognized arguments: 9 --bogus"),
+    ])
+    def test_usage_errors_keep_argparse_wording(self, run_cli, argv, usage, message):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        first, second = err.splitlines()
+        assert first.startswith(usage or "usage: pfib")
+        assert second == message
+
+
+class TestArgparseParity:
+    """The table parser against the argparse parser it replaced."""
+
+    VALID = [
+        ("forward", "5", "7"),
+        ("forward", "5", "7", "--max-terms", "3", "--format", "records"),
+        ("forward", "--max-terms=3", "5", "7"),
+        ("forward", "5", "--max-terms", "3", "7"),
+        ("forward", "5", "7", "--max", "3", "--max", "4"),
+        ("forward", "-5", "7", "--max-terms", "-3"),
+        ("extend-left", "5", "7", "--method", "crt", "--max-steps", "10",
+         "--bound", "5", "--format", "plain"),
+        ("extend-left", "5", "7", "--met=crt", "--max-s", "1_000"),
+        ("reversed", "3", "5", "--terms", "4", "--bound", "-1"),
+        ("reversed", "3", "5", "--term", "4", "--w", "1", "--check", "c.json",
+         "--f", "records"),
+        ("reversed", "--terms=4", "3", "--bound=2_000_000_000", "5"),
+        ("reversed", "3", "5", "--terms", "4", "--terms", "5"),
+        ("green-tao", "--k", "3"),
+        ("green-tao", "--k=6", "--ap", "3,2,3", "--search-limit", "-5"),
+        ("verify-bfile", "3", "5", "b.txt", "--format=records"),
+        ("forward", "--", "-5", "7"),
+    ]
+    INVALID = [
+        (),
+        ("summon",),
+        ("--format", "plain", "forward", "5", "7"),
+        ("forward", "5"),
+        ("forward", "5", "7", "9"),
+        ("reversed", "3", "5"),
+        ("reversed", "3", "5", "--terms"),
+        ("reversed", "3", "5", "--terms", "--bound", "9"),
+        ("reversed", "3", "5", "--terms", "4.0"),
+        ("green-tao", "--k", "x"),
+        ("forward", "5", "7", "--format", "json"),
+        ("extend-left", "5", "7", "--method", "best"),
+        ("forward", "5", "7", "--bogus", "1"),
+        ("extend-left", "5", "7", "--m", "crt"),
+    ]
+
+    @staticmethod
+    def reference(argv):
+        parser = oracles.argparse_cli_parser()
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return 0, vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code, None
+
+    @staticmethod
+    def table(argv):
+        try:
+            fields = vars(cli._parse(argv))
+        except cli._Exit as exc:
+            return exc.args[0], None
+        return 0, {**fields, "func": fields["func"].__name__}
+
+    @pytest.mark.parametrize("argv", VALID + INVALID, ids=" ".join)
+    def test_same_status_and_fields(self, argv):
+        expected = self.reference(list(argv))
+        assert expected[0] == (2 if argv in self.INVALID else 0)
+        assert self.table(list(argv)) == expected
 
 
 class TestParserReuse:
@@ -545,51 +690,14 @@ class TestParserReuse:
         return "\n".join(lines)
 
     def test_reused_parser_matches_a_fresh_one(self, run_cli, bfile_path):
+        # main keeps no state between calls: each call's second run in one
+        # process prints and returns what its first did
         calls = [[bfile_path if a is None else a for a in argv] for argv in self.CALLS]
-        cli._parser.cache_clear()
-        reused = [run_cli(*argv) for argv in calls]
-        assert cli._parser.cache_info().misses == 1
-        fresh = []
-        for argv in calls:
-            cli._parser.cache_clear()
-            fresh.append(run_cli(*argv))
-        assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 0, 2, 2]
-        for (code, out, err), (code2, out2, err2) in zip(reused, fresh):
+        first = [run_cli(*argv) for argv in calls]
+        second = [run_cli(*argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 0, 2, 2]
+        for (code, out, err), (code2, out2, err2) in zip(first, second):
             assert (code, self.untimed(out), err) == (code2, self.untimed(out2), err2)
-
-    def test_build_parser_returns_a_new_parser(self):
-        assert cli.build_parser() is not cli.build_parser()
-
-    def test_built_on_the_first_main_not_at_import(self):
-        # a parser built at import would land in every caller's start-up;
-        # -S keeps site hooks from building one first
-        code = (
-            "import argparse, contextlib, io\n"
-            "built = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def counting(self, *args, **kwargs):\n"
-            "    built.append(1)\n"
-            "    init(self, *args, **kwargs)\n"
-            "argparse.ArgumentParser.__init__ = counting\n"
-            "import pfib, pfib.cli\n"
-            "counts = [len(built)]\n"
-            "for _ in range(2):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert pfib.cli.main(['forward', '5', '7']) == 0\n"
-            "    counts.append(len(built))\n"
-            "print(*counts)\n"
-        )
-        package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": package_dir},
-        )
-        assert proc.returncode == 0, proc.stderr
-        at_import, after_first, after_second = map(int, proc.stdout.split())
-        assert at_import == 0
-        assert after_first > 0
-        assert after_second == after_first
 
 
 class TestEntryPoints:
@@ -603,13 +711,17 @@ class TestEntryPoints:
 
     def test_import_leaves_out_the_pool_stack(self):
         # a search imports the process-pool machinery only to build a pool,
-        # and the records are named tuples, so no import loads dataclasses
-        # (or the inspect it imports) or typing; -S keeps site hooks from
-        # loading any of them first
+        # the records are named tuples, so no import loads dataclasses (or
+        # the inspect it imports) or typing, and the command line is read
+        # without argparse (or the gettext it imports), also by a first
+        # main call; -S keeps site hooks from loading any of them first
         code = (
-            "import sys, pfib, pfib.cli; "
+            "import contextlib, io, sys, pfib, pfib.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert pfib.cli.main(['forward', '5', '7']) == 0\n"
             "print([m for m in ('concurrent.futures', 'multiprocessing', "
-            "'dataclasses', 'inspect', 'typing') if m in sys.modules])"
+            "'dataclasses', 'inspect', 'typing', 'argparse', 'gettext') "
+            "if m in sys.modules])\n"
         )
         package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
         proc = subprocess.run(
