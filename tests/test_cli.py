@@ -699,6 +699,35 @@ class TestParserReuse:
         for (code, out, err), (code2, out2, err2) in zip(first, second):
             assert (code, self.untimed(out), err) == (code2, self.untimed(out2), err2)
 
+    def test_built_on_the_first_main_not_at_import(self):
+        # the command table is read as it stands: no argparse parser is built
+        # at import or by any main call, even with argparse loaded by the
+        # caller; -S keeps site hooks from building one first
+        code = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import pfib, pfib.cli\n"
+            "counts = [len(built)]\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert pfib.cli.main(['forward', '5', '7']) == 0\n"
+            "    counts.append(len(built))\n"
+            "print(*counts)\n"
+        )
+        package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package_dir},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 0 0\n"
+
 
 class TestEntryPoints:
     def test_module_invocation(self):
