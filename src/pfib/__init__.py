@@ -14,7 +14,6 @@ from .arith import (
     CrtSystem,
     crt_solve,
     ensure_odd_prime,
-    factorize,
     is_prime,
     odd_part,
     sieve_primes,

@@ -1,4 +1,4 @@
-"""Integer arithmetic kernel: primality, sieves, factorization, CRT.
+"""Integer arithmetic kernel: primality, least prime factors, sieves, CRT.
 
 Everything runs on Python's native arbitrary-precision integers, and every
 result is deterministic.  `is_prime` is the Baillie-PSW test (a strong base-2
@@ -32,14 +32,15 @@ __all__ = [
     "FactorBudgetError",
     "crt_solve",
     "ensure_odd_prime",
-    "factorize",
     "is_prime",
     "odd_part",
     "sieve_primes",
     "smallest_odd_prime_divisor",
 ]
 
-# Primes below 64, used as a cheap screen before the Baillie-PSW test.
+# Primes below 64, used as a cheap screen before the Baillie-PSW test.  A
+# literal, not _trial_tables()[1][:18]: that would add a cached call and a
+# slice to every test above 2**16.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
 # Trial division handles prime factors up to this cutoff; Brent's rho takes
@@ -60,10 +61,9 @@ _SIEVE_WINDOW = 1 << 20
 # Guard against accidentally asking for an absurd prime list.
 _SIEVE_CEILING = 1 << 32
 
-# Walk steps Brent's rho may take in one `factorize` or
-# `smallest_odd_prime_divisor` call (~0.3 s on a 160-bit number): enough
-# for a least factor up to ~2**34, far short of the ~2**40 steps an 80-bit
-# one needs.
+# Walk steps Brent's rho may take in one `smallest_odd_prime_divisor` call
+# (~0.3 s on a 160-bit number): enough for a least factor up to ~2**34, far
+# short of the ~2**40 steps an 80-bit one needs.
 _RHO_BUDGET = 1 << 19
 
 
@@ -211,9 +211,9 @@ def smallest_odd_prime_divisor(n: int) -> int | None:
     without further trial division; above 2**64, where the test is not
     proven, trial division by the rest of the primes below 2**16 comes
     first.  A u with no factor below 2**16, so beyond 2**32, falls back on
-    Brent's rho, as in `factorize`.  So past 2**64 it is not total:
-    an odd part whose least factor is out of rho's step budget (two ~80-bit
-    primes, say) raises FactorBudgetError.
+    Brent's rho.  So past 2**64 it is not total: an odd part whose least
+    factor is out of rho's step budget (two ~80-bit primes, say) raises
+    FactorBudgetError.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {_show(n)}")
@@ -310,34 +310,6 @@ def crt_solve(congruences) -> CrtSystem:
         x += modulus * t
         modulus *= m
     return CrtSystem(tuple(pairs), modulus, x % modulus)
-
-
-def factorize(n: int) -> list[int]:
-    """Prime factorization of n >= 1 as a sorted list with multiplicity.
-
-    Trial division below 2**16, then Brent's cycle-finding rho on whatever
-    cofactor survives.  Rho takes at most _RHO_BUDGET walk steps over the
-    whole call, so this is not total: a number with two or more prime
-    factors beyond ~2**34 may raise FactorBudgetError, which names the bit
-    length of the cofactor rho could not split.
-    """
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {_show(n)}")
-    factors: list[int] = []
-    for p in _trial_tables()[1]:
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors.append(p)
-            n //= p
-    if n == 1:
-        return sorted(factors)
-    if n < (_TRIAL_CUTOFF + 1) ** 2:
-        # no factor below 2**16 and n <= ~2**32: n is prime
-        factors.append(n)
-    else:
-        factors += _rho_factors(n)
-    return sorted(factors)
 
 
 def _rho_factors(n: int) -> list[int]:

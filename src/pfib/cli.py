@@ -40,7 +40,7 @@ from .seqcore import (
     BoundExhaustedError,
 )
 
-__all__ = ["main", "parse_bfile"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,18 +52,13 @@ EXIT_INTERRUPTED = 130
 _Outcome = tuple[int, dict, dict, str]
 
 
-def parse_bfile(lines) -> list[tuple[int, int]]:
-    """Parse OEIS b-file lines into (index, value) pairs.
+def _bfile_rows(lines):
+    """Yield (line number, index, value) for each data line of an OEIS b-file.
 
     Blank lines and '#' comments are skipped; data lines carry exactly two
     integers with strictly increasing indices and non-negative values.  A
     line that breaks this raises ValueError naming its line number.
     """
-    return [(index, value) for _, index, value in _bfile_rows(lines)]
-
-
-def _bfile_rows(lines):
-    # (line number, index, value) per data line, checked as parse_bfile says
     previous = None
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()

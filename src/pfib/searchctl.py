@@ -277,10 +277,6 @@ def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _field_names(cls) -> set[str]:
-    return set(cls._fields)
-
-
 def load_checkpoint(path: str) -> Checkpoint:
     """Read and validate a checkpoint; refuse anything malformed."""
     with open(path, "rb") as handle:
@@ -298,10 +294,10 @@ def load_checkpoint(path: str) -> Checkpoint:
     version = doc.pop("format_version", None)
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format_version {version!r}")
-    if set(doc) != _field_names(Checkpoint):
+    if set(doc) != set(Checkpoint._fields):
         raise CheckpointError(f"{path}: unexpected document fields")
     raw_task = doc.pop("task")
-    if not isinstance(raw_task, dict) or set(raw_task) != _field_names(SearchTask):
+    if not isinstance(raw_task, dict) or set(raw_task) != set(SearchTask._fields):
         raise CheckpointError(f"{path}: unexpected task fields")
     try:
         checkpoint = Checkpoint(task=SearchTask(**raw_task), **doc)

@@ -12,7 +12,6 @@ from pfib.arith import (
     CrtSystem,
     crt_solve,
     ensure_odd_prime,
-    factorize,
     is_prime,
     odd_part,
     sieve_primes,
@@ -159,9 +158,7 @@ class TestPowersAndOddPart:
             odd_part(0)
 
 
-@pytest.mark.parametrize(
-    "fn", [odd_part, smallest_odd_prime_divisor, factorize]
-)
+@pytest.mark.parametrize("fn", [odd_part, smallest_odd_prime_divisor])
 def test_huge_nonpositive_named_by_size(fn):
     # past the int-string limit the message gives the size, not the digits
     message = "^expected a positive integer, got an 16610-bit integer$"
@@ -228,7 +225,7 @@ class TestSmallestOddPrimeDivisor:
             smallest_odd_prime_divisor(0)
 
     def test_large_prime_cofactor(self):
-        # odd part is a prime square above the trial table: needs factorize
+        # odd part is a prime square above the trial table: needs rho
         p = 1000003
         assert smallest_odd_prime_divisor(2 * p * p) == p
 
@@ -297,14 +294,18 @@ class TestAboveTheTable:
         assert smallest_odd_prime_divisor(p) == p
         assert primality_tests == [p]
 
-    def test_rho_fallback_skips_factorize(self, monkeypatch):
-        # the trial division is done once: rho runs on u directly
-        def refused(n):
-            raise AssertionError("factorize called")
-
-        monkeypatch.setattr(arith, "factorize", refused)
-        assert smallest_odd_prime_divisor(2 * 1000003 * 1000033) == 1000003
-        assert smallest_odd_prime_divisor(1000003**2) == 1000003
+    @pytest.mark.parametrize("n,expected", [
+        (2 * 1000003 * 1000033, 1000003),
+        (1000003**2, 1000003),
+        # with y0 = 2 the c = 1 walk finds only n itself on these two
+        (65587 * 65701, 65587),
+        (65537**2, 65537),
+        # a factor below 2**8 ends the search before rho
+        (7 * 1000003 * 1000033, 7),
+    ], ids=["semiprime", "prime_square", "walk_closes_on_semiprime",
+            "walk_closes_on_square", "small_factor_first"])
+    def test_rho_fallback(self, n, expected):
+        assert smallest_odd_prime_divisor(n) == expected
 
 
 class TestSievePrimes:
@@ -394,51 +395,6 @@ class TestCrtSolve:
         system = crt_solve(congruences)
         solution, modulus = oracles.crt_scan(congruences)
         assert (system.solution, system.combined_modulus) == (solution, modulus)
-
-
-class TestFactorize:
-    @pytest.mark.parametrize("n,expected", [
-        (1, []), (2, [2]), (12, [2, 2, 3]), (997, [997]),
-        (1 << 10, [2] * 10), (406514, [2, 439, 463]),
-        # at the trial-division cutoff, and the largest trial prime squared
-        ((1 << 16) - 1, [3, 5, 17, 257]), (1 << 16, [2] * 16),
-        ((1 << 16) + 1, [65537]), (65521 * 65521, [65521, 65521]),
-    ])
-    def test_examples(self, n, expected):
-        assert factorize(n) == expected
-
-    def test_semiprime_beyond_trial_table(self):
-        n = 1000003 * 1000033
-        assert factorize(n) == [1000003, 1000033]
-
-    def test_prime_square_beyond_trial_table(self):
-        n = 1000003 * 1000003
-        assert factorize(n) == [1000003, 1000003]
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            factorize(0)
-
-    def test_small_factor_and_semiprime_cofactor(self):
-        assert factorize(7 * 1000003 * 1000033) == [7, 1000003, 1000033]
-
-    @pytest.mark.parametrize("n,expected", [
-        (65587 * 65701, [65587, 65701]),
-        (65537 * 65537, [65537, 65537]),
-    ])
-    def test_rho_retries_when_walk_closes_on_n(self, n, expected):
-        # with y0 = 2 the c = 1 walk finds only n itself on these inputs
-        assert factorize(n) == expected
-
-    @given(st.integers(min_value=1, max_value=10**6))
-    @settings(max_examples=200)
-    def test_product_and_primality(self, n):
-        factors = factorize(n)
-        product = 1
-        for f in factors:
-            assert oracles.trial_is_prime(f)
-            product *= f
-        assert product == n
 
 
 class TestRhoBudget:

@@ -11,7 +11,6 @@ import pytest
 import oracles
 import pfib
 from pfib import cli
-from pfib.cli import main, parse_bfile
 from pfib.searchctl import Checkpoint, SearchTask, save_checkpoint
 
 A255562_LINE = "3 5 7 3 11 7 37 19 277 331 223 439 7 406507 67"
@@ -19,31 +18,6 @@ A255562_LINE = "3 5 7 3 11 7 37 19 277 331 223 439 7 406507 67"
 
 def records(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines() if line]
-
-
-class TestParseBfile:
-    def test_skips_comments_and_blanks(self):
-        lines = ["# header", "", "1 3", "  ", "2 5", "# trailing"]
-        assert parse_bfile(lines) == [(1, 3), (2, 5)]
-
-    def test_negative_offsets_allowed_in_index(self):
-        assert parse_bfile(["-1 3", "0 5"]) == [(-1, 3), (0, 5)]
-
-    def test_rejects_field_count(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_bfile(["1 3", "2 5 8"])
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError, match="non-integer"):
-            parse_bfile(["1 three"])
-
-    def test_rejects_non_increasing_index(self):
-        with pytest.raises(ValueError, match="not above previous"):
-            parse_bfile(["2 3", "2 5"])
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError, match="negative value"):
-            parse_bfile(["1 -3"])
 
 
 class TestForwardCommand:
@@ -478,6 +452,20 @@ class TestVerifyBfileCommand:
         code, out, _ = run_cli("verify-bfile", "3", "5", str(target))
         assert code == 0
         assert out == f"ok: {entries} terms match\n"
+
+    @pytest.mark.parametrize("text,code,out,err", [
+        ("# header\n\n1 3\n  \n2 5\n# trailing\n", 0, "ok: 2 terms match\n", ""),
+        ("1 3\n2 5 8\n", 2, "", "line 2: expected 'index value', got '2 5 8'"),
+        ("1 three\n", 2, "", "line 1: non-integer field in '1 three'"),
+        ("1 3\n1 5\n", 2, "", "line 2: index 1 not above previous 1"),
+        ("1 -3\n", 2, "", "line 1: negative value -3"),
+    ], ids=["comments_and_blanks", "three_fields", "non_integer",
+            "repeated_index", "negative_value"])
+    def test_line_rules(self, run_cli, tmp_path, text, code, out, err):
+        target = tmp_path / "b.txt"
+        target.write_text(text)
+        expected = (code, out, f"error: {target}: {err}\n" if err else "")
+        assert run_cli("verify-bfile", "3", "5", str(target)) == expected
 
     def test_index_below_one_is_refused(self, run_cli, tmp_path):
         target = tmp_path / "zero.txt"

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import oracles
+import pfib
 from pfib import searchctl
 from pfib.arith import sieve_primes
 from pfib.searchctl import (
@@ -364,6 +365,23 @@ def test_readme_cli_examples(run_cli, monkeypatch):
         assert program == "pfib"
         _, out, err = run_cli(*argv)
         assert (out, err) == ("".join(line + "\n" for line in lines), ""), argv
+
+
+def test_readme_library_section():
+    # the Library section's python block runs as written, and every name its
+    # paragraph on the public surface gives in backticks comes from pfib
+    section = _readme().split("\n## Library\n", 1)[1]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["seq"].terms == (5, 7, 3, 5)
+    assert namespace["rev"].terms == A255562
+    (paragraph,) = re.findall(
+        r"The full public surface is re-exported from `pfib`(.*?)\n\n", section, re.S
+    )
+    names = re.findall(r"`(\w+)`", paragraph)
+    assert len(names) == 15
+    assert [name for name in names if not hasattr(pfib, name)] == []
 
 
 def _valid_doc():
