@@ -2,24 +2,21 @@
 
 Subcommands: forward, extend-left, reversed, green-tao, verify-bfile.
 Exit codes: 0 success, 2 usage or input error, 3 bound or search-limit
-exhaustion, 4 verification mismatch, 130 interrupted.
+exhaustion, 4 verification mismatch, 130 interrupted, 141 stdout closed
+(nothing more is printed; 128 + SIGPIPE, as a shell reports that kill).
 
-Each `cmd_*` prints nothing: it validates by raising and returns
-`(exit_code, inputs, result, plain_text)`.  `main` times the call, maps
-errors to an `error: ...` line on stderr (ValueError, CheckpointError and
-OSError exit 2, BoundExhaustedError exits 3) and prints either `plain_text`
-or, under `--format records`, one JSON record
+Each `cmd_*` writes nothing: it validates by raising and returns
+`(exit_code, inputs, result, plain_text)`.  `main` owns stdout.  It times
+the call, maps errors to an `error: ...` line on stderr (ValueError,
+CheckpointError and OSError exit 2, BoundExhaustedError exits 3) and prints
+either `plain_text` or, under `--format records`, one JSON record
 `{"command", "inputs", "result", "timing"}` with every potentially large
-integer as a decimal string.  `forward` and `reversed` stream each term as
-it is found: in plain format as words on one line, which is ended also when
-an error stops the run, so the terms found before it stay on stdout; under
-`--format records`, `reversed` writes one `"event": "term"` record per term
-and `forward` only its one final record.
-A prime given on the command line is read with `int` and tested once, by
-`Seed`, `SearchTask` or `extend_left_crt`.
-`_parse` reads the command line against one table, `_COMMANDS`, without
-argparse.  It accepts and refuses what argparse did, in argparse's words,
-and keeps no state between calls; a usage error exits 2.
+integer as a decimal string.  `forward` and `reversed` stream each term
+through the `args.on_term` that `main` builds: in plain format as words on
+one line, which `main` ends on every exit, on a result with the command's
+plain text as its tail, so the terms found before an error stay on stdout;
+under `--format records`, `reversed` writes one `"event": "term"` record
+per term and `forward` only its one final record.
 """
 
 from __future__ import annotations
@@ -47,46 +44,16 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_MISMATCH = 4
 EXIT_INTERRUPTED = 130
+EXIT_CLOSED = 141  # 128 + SIGPIPE
 
 # what every cmd_* returns: (exit_code, inputs, result, plain_text)
 _Outcome = tuple[int, dict, dict, str]
 
 
-def _bfile_rows(lines):
-    """Yield (line number, index, value) for each data line of an OEIS b-file.
-
-    Blank lines and '#' comments are skipped; data lines carry exactly two
-    integers with strictly increasing indices and non-negative values.  A
-    line that breaks this raises ValueError naming its line number.
-    """
-    previous = None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(f"line {line_no}: expected 'index value', got {line!r}")
-        try:
-            index, value = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-integer field in {line!r}") from None
-        if previous is not None and index <= previous:
-            raise ValueError(
-                f"line {line_no}: index {index} not above previous {previous}"
-            )
-        if value < 0:
-            raise ValueError(f"line {line_no}: negative value {value}")
-        previous = index
-        yield line_no, index, value
-
-
-def _emit(record: dict) -> None:
-    print(json.dumps(record, separators=(",", ":")), flush=True)
-
-
 def _resolve_workers(cli_value: int | None) -> int:
-    cpus = os.cpu_count() or 1
+    # the CPUs this process may run on, where the platform says which
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if cli_value is None:
         return cpus
     if cli_value < 1:
@@ -107,39 +74,18 @@ def _forward_suffix(seq) -> str:
     return f"truncated: {seq.limit}"
 
 
-def _write_term(index: int, value: int) -> None:
-    # a streamed plain term: the line's first word, or the next one
-    sys.stdout.write(f" {value}" if index else f"{value}")
-    sys.stdout.flush()
-
-
 def cmd_forward(args) -> _Outcome:
     seed = Seed(int(args.p1), int(args.p2))
-    records = args.format == "records"
-    line_open = False  # no term is written before max_terms is checked
-
-    def on_term(index: int, value: int) -> None:
-        nonlocal line_open
-        line_open = True
-        _write_term(index, value)
-
-    suffix = ""
-    try:
-        seq = seqcore.generate_forward(
-            seed, args.max_terms, on_term=None if records else on_term
-        )
-        suffix = f" | {_forward_suffix(seq)}"
-    finally:
-        if line_open:
-            # end the streamed line, with no suffix on an error or Ctrl-C
-            print(suffix, flush=True)
+    # a forward run is one record, so only a plain line streams its terms
+    on_term = None if args.format == "records" else args.on_term
+    seq = seqcore.generate_forward(seed, args.max_terms, on_term=on_term)
     inputs = {"p1": str(seed.p1), "p2": str(seed.p2), "max_terms": str(args.max_terms)}
     result = {"terms": [str(t) for t in seq.terms], "status": seq.status.value}
     if seq.final_sum is not None:
         result["final_sum"] = str(seq.final_sum)
     if seq.limit is not None:
         result["limit"] = str(seq.limit)
-    return EXIT_OK, inputs, result, ""
+    return EXIT_OK, inputs, result, f" | {_forward_suffix(seq)}"
 
 
 def cmd_extend_left(args) -> _Outcome:
@@ -180,33 +126,14 @@ def cmd_reversed(args) -> _Outcome:
         raise ValueError(f"--terms must be at least 2, got {args.terms}")
     if args.bound < 1:
         raise ValueError(f"--bound must be positive, got {args.bound}")
-    records = args.format == "records"
-
-    def on_term(index: int, value: int) -> None:
-        if records:
-            _emit(
-                {
-                    "command": "reversed",
-                    "event": "term",
-                    "index": index + 1,
-                    "value": str(value),
-                }
-            )
-        else:
-            _write_term(index, value)
-
-    try:
-        seq = seqcore.generate_reversed(
-            seed,
-            args.terms,
-            args.bound,
-            workers=workers,
-            checkpoint_path=args.checkpoint,
-            on_term=on_term,
-        )
-    finally:
-        if not records:
-            print(flush=True)  # end the streamed line, also on an error or Ctrl-C
+    seq = seqcore.generate_reversed(
+        seed,
+        args.terms,
+        args.bound,
+        workers=workers,
+        checkpoint_path=args.checkpoint,
+        on_term=args.on_term,
+    )
     inputs = {
         "p": str(seed.p1),
         "q": str(seed.p2),
@@ -219,7 +146,7 @@ def cmd_reversed(args) -> _Outcome:
         return EXIT_OK, inputs, result, ""
     result["at_term"] = seq.at_index + 1
     result["bound"] = str(seq.bound)
-    text = f"term {seq.at_index + 1}: no candidate <= {seq.bound}"
+    text = f"\nterm {seq.at_index + 1}: no candidate <= {seq.bound}"
     return EXIT_EXHAUSTED, inputs, result, text
 
 
@@ -267,11 +194,35 @@ def cmd_green_tao(args) -> _Outcome:
 
 def cmd_verify_bfile(args) -> _Outcome:
     seed = Seed(int(args.p), int(args.q))
+    # an OEIS b-file: blank lines and '#' comments aside, each line holds
+    # exactly two integers, an index above the previous one and at least 1
+    # (term 1 is the seed's p) and a non-negative value
     entries: list[tuple[int, int]] = []
     try:
         with open(args.path, "r", encoding="ascii") as handle:
-            for line_no, index, value in _bfile_rows(handle):
-                if index < 1:  # term 1 is the seed's p
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ValueError(
+                        f"line {line_no}: expected 'index value', got {line!r}"
+                    )
+                try:
+                    index, value = int(fields[0]), int(fields[1])
+                except ValueError:
+                    raise ValueError(
+                        f"line {line_no}: non-integer field in {line!r}"
+                    ) from None
+                if entries and index <= entries[-1][0]:
+                    raise ValueError(
+                        f"line {line_no}: index {index} not above previous "
+                        f"{entries[-1][0]}"
+                    )
+                if value < 0:
+                    raise ValueError(f"line {line_no}: negative value {value}")
+                if index < 1:
                     raise ValueError(f"line {line_no}: index {index} below 1")
                 entries.append((index, value))
     except OSError as exc:
@@ -428,36 +379,57 @@ def _parse(argv) -> SimpleNamespace:
 
 
 def main(argv=None) -> int:
+    line_open = False  # a plain line of streamed terms is waiting for its end
+
+    def emit(**fields) -> None:
+        record = {"command": args.command, **fields}
+        print(json.dumps(record, separators=(",", ":")), flush=True)
+
+    def on_term(index: int, value: int) -> None:
+        nonlocal line_open
+        if args.format == "records":
+            emit(event="term", index=index + 1, value=str(value))
+        else:
+            line_open = True
+            print(f" {value}" if index else f"{value}", end="", flush=True)
+
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-    except _Exit as exc:
-        code, text = exc.args
-        print(text, file=sys.stderr if code else sys.stdout)
+        try:
+            args = _parse(sys.argv[1:] if argv is None else argv)
+        except _Exit as exc:
+            code, text = exc.args
+            print(text, file=sys.stderr if code else sys.stdout, flush=True)
+            return code
+        args.on_term = on_term
+        started = time.perf_counter()
+        text, error = "", None
+        try:
+            code, inputs, result, text = args.func(args)
+        except BrokenPipeError:
+            raise  # stdout's reader is gone: no usage error, see below
+        except (ValueError, CheckpointError, OSError) as exc:
+            code, error = EXIT_USAGE, f"error: {exc}"
+        except BoundExhaustedError as exc:
+            code, error = EXIT_EXHAUSTED, f"error: {exc}"
+        except KeyboardInterrupt:
+            code = EXIT_INTERRUPTED
+            error = "interrupted; checkpoint written if one was requested"
+        finally:
+            # the one end of a plain line, on every exit and before an error
+            # reaches stderr: a result's text is the tail of the streamed
+            # line, or the whole of a line that streamed nothing
+            if line_open or (text and args.format == "plain"):
+                print(text, flush=True)
+        if error:
+            print(error, file=sys.stderr)
+        elif args.format == "records":
+            emit(inputs=inputs, result=result, timing=time.perf_counter() - started)
         return code
-    started = time.perf_counter()
-    try:
-        code, inputs, result, text = args.func(args)
-    except (ValueError, CheckpointError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except KeyboardInterrupt:
-        print("interrupted; checkpoint written if one was requested", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    if args.format == "records":
-        _emit(
-            {
-                "command": args.command,
-                "inputs": inputs,
-                "result": result,
-                "timing": time.perf_counter() - started,
-            }
-        )
-    elif text:
-        print(text)
-    return code
+    except BrokenPipeError:
+        # say nothing more; pointing stdout at devnull keeps the
+        # interpreter's final flush from failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
 
 
 if __name__ == "__main__":

@@ -20,6 +20,15 @@ def records(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines() if line]
 
 
+def run_module(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m pfib` with the tested package first on its path."""
+    package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "pfib", *argv], text=True,
+        env={**os.environ, "PYTHONPATH": package_dir}, **kwargs,
+    )
+
+
 class TestForwardCommand:
     def test_plain(self, run_cli):
         code, out, err = run_cli("forward", "5", "7")
@@ -60,17 +69,6 @@ class TestForwardCommand:
         code, out, err = run_cli("forward", "5", "7", "--max-terms", "1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "max_terms" in err
-
-    def test_interrupt_ends_the_streamed_line(self, run_cli, monkeypatch):
-        def interrupted(seed, max_terms, *, on_term):
-            on_term(0, seed.p1)
-            on_term(1, seed.p2)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("pfib.seqcore.generate_forward", interrupted)
-        code, out, err = run_cli("forward", "5", "7")
-        assert code == 130 and "interrupted" in err
-        assert out == "5 7\n"
 
 
 class TestExtendLeftCommand:
@@ -299,21 +297,51 @@ class TestReversedCommand:
         )
         assert code == 2 and err.startswith("error:")
 
-    def test_interrupt_keeps_records_stream_clean(self, run_cli, monkeypatch):
-        def interrupted(seed, num_terms, per_step_bound, *, on_term, **kwargs):
-            on_term(0, seed.p1)
-            raise KeyboardInterrupt
 
-        monkeypatch.setattr("pfib.seqcore.generate_reversed", interrupted)
-        code, out, err = run_cli(
-            "reversed", "3", "5", "--terms", "5", "--format", "records"
-        )
+@pytest.mark.parametrize("raised", [ValueError, KeyboardInterrupt, RuntimeError])
+@pytest.mark.parametrize("fmt", ["plain", "records"])
+@pytest.mark.parametrize("command", ["forward", "reversed"])
+def test_every_exit_ends_the_stream(run_cli, capsys, monkeypatch, command, fmt, raised):
+    # a run stopped after its seeds by a mapped error, Ctrl-C or an
+    # exception main lets through: the streamed line is ended on each exit,
+    # and a records stream holds only whole term events
+    def stopped(seed, *args, on_term, **kwargs):
+        if on_term is not None:  # a forward run in records format streams none
+            on_term(0, seed.p1)
+            on_term(1, seed.p2)
+        raise raised("stopped")
+
+    monkeypatch.setattr(f"pfib.seqcore.generate_{command}", stopped)
+    argv = {"forward": ("forward", "5", "7"),
+            "reversed": ("reversed", "3", "5", "--terms", "5")}[command]
+    argv += ("--format", fmt)
+    if raised is RuntimeError:
+        with pytest.raises(RuntimeError, match="stopped"):
+            cli.main(list(argv))
+        code, (out, err) = None, capsys.readouterr()
+        assert err == ""
+    else:
+        code, out, err = run_cli(*argv)
+    if raised is ValueError:
+        assert code == 2 and err == "error: stopped\n"
+    elif raised is KeyboardInterrupt:
         assert code == 130 and "interrupted" in err
-        assert [json.loads(line)["value"] for line in out.splitlines()] == ["3"]
+    if fmt == "plain":
+        assert out == " ".join(argv[1:3]) + "\n"
+    elif command == "forward":
+        assert out == ""
+    else:
+        assert [json.loads(line)["value"] for line in out.splitlines()] == ["3", "5"]
+        assert out == (
+            '{"command":"reversed","event":"term","index":1,"value":"3"}\n'
+            '{"command":"reversed","event":"term","index":2,"value":"5"}\n'
+        )
+
 
 class TestWorkerResolution:
     def test_default_is_cpu_count(self, run_cli, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)),
+                            raising=False)
         _, out, _ = run_cli(
             "reversed", "3", "5", "--terms", "2", "--format", "records"
         )
@@ -325,7 +353,8 @@ class TestWorkerResolution:
         def no_search(*args, **kwargs):
             raise AssertionError("a search ran")
 
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         monkeypatch.setattr("pfib.seqcore.generate_reversed", no_search)
         code, out, err = run_cli("reversed", "3", "5", "--terms", "5", "--workers", "3")
         assert code == 2 and out == ""
@@ -725,6 +754,38 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout == "5 7 3 5 | terminated: 8\n"
+
+    def test_rho_refusal_keeps_the_seeds(self):
+        # the README's example: the seeds' sum is 2 * (a product of two
+        # 80-bit primes), past the rho budget
+        seeds = ("1181640291642918365944871538900041798133700239031",
+                 "1181640291642918365944871538900041798133700247611")
+        proc = run_module("forward", *seeds, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout == " ".join(seeds) + "\n"
+        assert proc.stderr == (
+            "error: no factor of a 160-bit integer found within 524288 rho steps\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("forward", "5", "7"),
+        ("forward", "5", "7", "--format", "records"),
+        ("reversed", "3", "5", "--terms", "4"),
+        ("reversed", "3", "5", "--terms", "4", "--format", "records"),
+        ("extend-left", "5", "7", "--method", "crt"),
+    ])
+    def test_closed_stdout_exits_141_quietly(self, argv):
+        # stdout is a pipe whose reader has gone, as in `pfib ... | true`:
+        # 128 + SIGPIPE, as a shell reports a process that signal killed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_module(*argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
     def test_import_leaves_out_the_pool_stack(self):
         # a search imports the process-pool machinery only to build a pool,
