@@ -29,7 +29,6 @@ from .searchctl import (
     save_checkpoint,
 )
 from .seqcore import (
-    BoundExhaustedError,
     ForwardStatus,
     GROWTH_ROOT,
     GrowthReport,

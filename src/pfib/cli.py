@@ -8,15 +8,15 @@ exhaustion, 4 verification mismatch, 130 interrupted, 141 stdout closed
 Each `cmd_*` writes nothing: it validates by raising and returns
 `(exit_code, inputs, result, plain_text)`.  `main` owns stdout.  It times
 the call, maps errors to an `error: ...` line on stderr (ValueError,
-CheckpointError and OSError exit 2, BoundExhaustedError exits 3) and prints
-either `plain_text` or, under `--format records`, one JSON record
-`{"command", "inputs", "result", "timing"}` with every potentially large
-integer as a decimal string.  `forward` and `reversed` stream each term
-through the `args.on_term` that `main` builds: in plain format as words on
-one line, which `main` ends on every exit, on a result with the command's
-plain text as its tail, so the terms found before an error stay on stdout;
-under `--format records`, `reversed` writes one `"event": "term"` record
-per term and `forward` only its one final record.
+CheckpointError and OSError exit 2, a green-tao search that finds no
+progression exits 3) and prints either `plain_text` or, under `--format
+records`, one JSON record `{"command", "inputs", "result", "timing"}` with
+every potentially large integer as a decimal string.  `forward` and
+`reversed` stream each term through the `args.on_term` that `main` builds:
+in plain format as words on one line, which `main` ends on every exit, on a
+result with the command's plain text as its tail, so the terms found before
+an error stay on stdout; under `--format records`, `reversed` writes one
+`"event": "term"` record per term and `forward` only its one final record.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .seqcore import (
     PrimeAp,
     ReversedStatus,
     Seed,
-    BoundExhaustedError,
 )
 
 __all__ = ["main"]
@@ -48,6 +47,10 @@ EXIT_CLOSED = 141  # 128 + SIGPIPE
 
 # what every cmd_* returns: (exit_code, inputs, result, plain_text)
 _Outcome = tuple[int, dict, dict, str]
+
+
+class _SearchLimitExhausted(Exception):
+    """green-tao found no progression within --search-limit: exit 3."""
 
 
 def _resolve_workers(cli_value: int | None) -> int:
@@ -92,8 +95,7 @@ def cmd_extend_left(args) -> _Outcome:
     p1, p2 = int(args.p1), int(args.p2)
     inputs = {"p1": str(p1), "p2": str(p2), "method": args.method}
     if args.method == "crt":
-        inputs["max_steps"] = str(args.max_steps)
-        p0, system = seqcore.extend_left_crt(p1, p2, args.max_steps)
+        p0, system = seqcore.extend_left_crt(p1, p2)
         index = (p0 - system.solution) // system.combined_modulus
         result = {
             "p0": str(p0),
@@ -164,7 +166,7 @@ def cmd_green_tao(args) -> _Outcome:
     else:
         ap = seqcore.find_prime_ap(needed, args.search_limit)
         if ap is None:
-            raise BoundExhaustedError(
+            raise _SearchLimitExhausted(
                 f"no prime progression of length {needed} with first term "
                 f"<= {args.search_limit}"
             )
@@ -267,9 +269,7 @@ _COMMANDS = {
     "extend-left": (cmd_extend_left, "find a left extension of a prime pair",
                     ("p1", "p2"), [
         ("--method", str, ("minimal", "crt"), "minimal", "least p0 or the CRT one"),
-        ("--bound", int, None, 10**6, "largest p0 the minimal method tries"),
-        ("--max-steps", int, None, seqcore.DEFAULT_DIRICHLET_STEPS,
-         "most progression terms the crt method tries")]),
+        ("--bound", int, None, 10**6, "largest p0 the minimal method tries")]),
     "reversed": (cmd_reversed, "generate the reversed sequence", ("p", "q"), [
         ("--terms", int, None, _REQUIRED, "terms to generate, the seeds included"),
         ("--bound", int, None, 10**7, "largest candidate of each step"),
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
             raise  # stdout's reader is gone: no usage error, see below
         except (ValueError, CheckpointError, OSError) as exc:
             code, error = EXIT_USAGE, f"error: {exc}"
-        except BoundExhaustedError as exc:
+        except _SearchLimitExhausted as exc:
             code, error = EXIT_EXHAUSTED, f"error: {exc}"
         except KeyboardInterrupt:
             code = EXIT_INTERRUPTED

@@ -38,8 +38,6 @@ from . import searchctl
 from .searchctl import SearchTask, _checked_replace, _is_int
 
 __all__ = [
-    "BoundExhaustedError",
-    "DEFAULT_DIRICHLET_STEPS",
     "ForwardStatus",
     "GROWTH_ROOT",
     "GrowthReport",
@@ -59,8 +57,10 @@ __all__ = [
     "index_recurrence",
 ]
 
-# Default cap on the Dirichlet progression scan in extend_left_crt.
-DEFAULT_DIRICHLET_STEPS = 10**6
+# extend_left_crt refuses p2 from here on.  p2 alone fixes the modulus, the
+# product of the odd primes up to p2 (about 1.44*p2 bits), and with it the
+# cost of each primality test in the scan (see the README for timings).
+_CRT_P2_LIMIT = 1 << 11
 
 # Progression indices sieved at once by extend_left_crt; one window holds
 # the first prime for every p2 below 1000 with p1 = 3.
@@ -69,10 +69,6 @@ _DIRICHLET_WINDOW = 1 << 10
 # Positive root of r**2 + r - 4 = 0, the growth rate a monotone reversed
 # sequence is compared against.
 GROWTH_ROOT = (math.sqrt(17) - 1) / 2
-
-
-class BoundExhaustedError(Exception):
-    """A scan hit its step budget without finding the guaranteed prime."""
 
 
 class Seed(namedtuple("Seed", "p1 p2")):
@@ -211,9 +207,7 @@ def generate_forward(seed: Seed, max_terms: int, *, on_term=None) -> PfibSequenc
     return tuple.__new__(PfibSequence, (tuple(terms), _CONSTANT, None, None))
 
 
-def extend_left_crt(
-    p1: int, p2: int, max_steps: int = DEFAULT_DIRICHLET_STEPS
-) -> tuple[int, CrtSystem]:
+def extend_left_crt(p1: int, p2: int) -> tuple[int, CrtSystem]:
     """Left-extend (p1, p2) by the congruence construction.
 
     Builds x = t_q - p1 (mod q) for every odd prime q < p2 and
@@ -222,8 +216,8 @@ def extend_left_crt(
     (mod p2), a is coprime to the modulus Q and Dirichlet applies.  A prime
     p0 = a (mod Q) extends the pair: p0 + p1 = t_q != 0 modulo each odd
     q < p2, and p2 divides it.  The progression a, a+Q, a+2Q, ... is scanned
-    for its first odd prime (2 can appear once and is skipped), at most
-    max_steps terms.
+    for its first odd prime (2 can appear once and is skipped).  A p2 at or
+    above 2**11 is refused before any work, its primality test included.
 
     Every term is coprime to the primes up to p2, so before any primality
     test the index k is sieved in fixed-width windows: Q is odd, so every
@@ -236,11 +230,13 @@ def extend_left_crt(
     no per-prime list is kept.
     """
     ensure_odd_prime(p1)
+    if isinstance(p2, int) and p2 >= _CRT_P2_LIMIT:
+        raise ValueError(
+            f"the CRT construction needs p2 below {_CRT_P2_LIMIT}, got {_show(p2)}"
+        )
     ensure_odd_prime(p2)
     if p1 == p2:
         raise ValueError(f"left extension needs distinct primes, got {_show(p1)} twice")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be positive, got {_show(max_steps)}")
     congruences = []
     for q in sieve_primes(p2 - 1)[1:]:
         target = 1 if p1 % q != 1 else 2
@@ -248,13 +244,9 @@ def extend_left_crt(
     congruences.append((-p1 % p2, p2))
     system = crt_solve(congruences)
     a, modulus = system.solution, system.combined_modulus
-    for value in _progression_candidates(a, modulus, p2, max_steps):
+    for value in _progression_candidates(a, modulus, p2):
         if value >= 3 and value % 2 == 1 and is_prime(value):
             return value, system
-    raise BoundExhaustedError(
-        f"no odd prime in the first {max_steps} terms of {_show(a)} + "
-        f"k*{_show(modulus)}"
-    )
 
 
 def _dirichlet_sieve_limit(a: int) -> int:
@@ -264,18 +256,18 @@ def _dirichlet_sieve_limit(a: int) -> int:
     return (1 << min(16, 8 + a.bit_length() // 96)) - 1
 
 
-def _progression_candidates(a: int, modulus: int, p2: int, steps: int):
-    # The terms a + k*modulus, k < steps, in order, less those above 2**16
+def _progression_candidates(a: int, modulus: int, p2: int):
+    # The terms a + k*modulus in order, without end, less those above 2**16
     # that the sieve proves composite: the even ones, and those with a prime
     # factor p, p2 < p < L.  The modulus is odd, a product of primes <= p2.
     k = 0
-    while k < steps and a + k * modulus <= _TRIAL_CUTOFF:
+    while a + k * modulus <= _TRIAL_CUTOFF:
         yield a + k * modulus
         k += 1
     primes = sieve_primes(_dirichlet_sieve_limit(a))
     first = bisect_right(primes, p2)
-    while k < steps:
-        width = min(_DIRICHLET_WINDOW, steps - k)
+    while True:
+        width = _DIRICHLET_WINDOW
         flags = bytearray(b"\x01") * width
         even = (a + k) % 2  # a + (k + i)*modulus is even iff i = a + k (mod 2)
         flags[even::2] = bytes(len(range(even, width, 2)))

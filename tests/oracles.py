@@ -239,7 +239,6 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
     p.add_argument("p2")
     p.add_argument("--method", choices=("minimal", "crt"), default="minimal")
     p.add_argument("--bound", type=int, default=10**6)
-    p.add_argument("--max-steps", type=int, default=10**6)  # DEFAULT_DIRICHLET_STEPS
     p.set_defaults(func="cmd_extend_left")
 
     p = sub.add_parser(

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,7 @@ class TestExtendLeftCommand:
         )
         assert code == 0
         (record,) = records(out)
+        assert record["inputs"] == {"p1": "13", "p2": "5", "method": "crt"}
         assert record["result"] == {
             "p0": "7",
             "system": [
@@ -135,12 +137,12 @@ class TestExtendLeftCommand:
         code, _, err = run_cli("extend-left", "7", "7", "--method", "crt")
         assert code == 2 and "distinct" in err
 
-    def test_crt_exhaustion_exit_code(self, run_cli):
-        code, _, err = run_cli(
-            "extend-left", "5", "7", "--method", "crt", "--max-steps", "1"
-        )
-        assert code == 3
-        assert err.startswith("error:")
+    def test_crt_refuses_p2_from_the_limit(self, run_cli):
+        started = time.perf_counter()
+        code, out, err = run_cli("extend-left", "3", "10007", "--method", "crt")
+        assert time.perf_counter() - started < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: the CRT construction needs p2 below 2048, got 10007\n"
 
     def test_underscored_bound_accepted(self, run_cli):
         code, out, _ = run_cli("extend-left", "5", "7", "--bound", "1_00")
@@ -603,9 +605,9 @@ class TestParserPlumbing:
         (("forward", "5", "7", "--format=json"), "usage: pfib forward [-h] ",
          "pfib forward: error: argument --format: invalid choice: 'json' "
          "(choose from 'plain', 'records')"),
-        (("extend-left", "5", "7", "--m", "crt"), None,
-         "pfib extend-left: error: ambiguous option: --m could match --method, "
-         "--max-steps"),
+        (("extend-left", "5", "7", "--=crt"), None,
+         "pfib extend-left: error: ambiguous option: --=crt could match --help, "
+         "--format, --method, --bound"),
         (("forward", "5", "7", "9", "--bogus"), None,
          "pfib forward: error: unrecognized arguments: 9 --bogus"),
     ])
@@ -627,9 +629,10 @@ class TestArgparseParity:
         ("forward", "5", "--max-terms", "3", "7"),
         ("forward", "5", "7", "--max", "3", "--max", "4"),
         ("forward", "-5", "7", "--max-terms", "-3"),
-        ("extend-left", "5", "7", "--method", "crt", "--max-steps", "10",
-         "--bound", "5", "--format", "plain"),
-        ("extend-left", "5", "7", "--met=crt", "--max-s", "1_000"),
+        ("extend-left", "5", "7", "--method", "crt", "--bound", "5",
+         "--format", "plain"),
+        ("extend-left", "5", "7", "--met=crt", "--bo", "1_000"),
+        ("extend-left", "5", "7", "--m", "crt"),
         ("reversed", "3", "5", "--terms", "4", "--bound", "-1"),
         ("reversed", "3", "5", "--term", "4", "--w", "1", "--check", "c.json",
          "--f", "records"),
@@ -654,7 +657,11 @@ class TestArgparseParity:
         ("forward", "5", "7", "--format", "json"),
         ("extend-left", "5", "7", "--method", "best"),
         ("forward", "5", "7", "--bogus", "1"),
-        ("extend-left", "5", "7", "--m", "crt"),
+        ("extend-left", "5", "7", "--=crt"),
+        # extend-left has no --max-steps: refused as any unknown option is
+        ("extend-left", "5", "7", "--method", "crt", "--max-steps", "10",
+         "--bound", "5", "--format", "plain"),
+        ("extend-left", "5", "7", "--met=crt", "--max-s", "1_000"),
     ]
 
     @staticmethod

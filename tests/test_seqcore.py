@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ import oracles
 from pfib import arith, searchctl, seqcore
 from pfib.arith import smallest_odd_prime_divisor
 from pfib.seqcore import (
-    BoundExhaustedError,
     ForwardStatus,
     GROWTH_ROOT,
     PrimeAp,
@@ -221,8 +221,8 @@ HUGE = -(10**5000)
                  id="generate_reversed.num_terms"),
     pytest.param(lambda: generate_reversed(Seed(3, 5), 3, HUGE), ValueError,
                  id="generate_reversed.per_step_bound"),
-    pytest.param(lambda: extend_left_crt(3, 5, HUGE), ValueError,
-                 id="extend_left_crt.max_steps"),
+    pytest.param(lambda: extend_left_crt(3, HUGE), ValueError,
+                 id="extend_left_crt.p2"),
     pytest.param(lambda: index_recurrence(HUGE), ValueError,
                  id="index_recurrence.k"),
     pytest.param(lambda: green_tao_sequence(HUGE, PrimeAp(3, 2, 3)), ValueError,
@@ -272,19 +272,21 @@ class TestExtendLeftCrt:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             extend_left_crt(4, 7)
-        with pytest.raises(ValueError, match="max_steps"):
-            extend_left_crt(5, 7, 0)
 
-    def test_exhausts_when_starved(self):
-        # the first progression value for (5, 7) is 86, which is not prime
-        with pytest.raises(BoundExhaustedError):
-            extend_left_crt(5, 7, max_steps=1)
+    @pytest.mark.parametrize("p2", [2053, 10007, 10**9 + 7])
+    def test_refuses_p2_from_the_limit(self, p2):
+        # 2053 is the least prime above 2**11; a refused p2 is neither
+        # sieved below nor tested, so even 10**9 + 7 is refused at once
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"p2 below 2048, got {p2}$"):
+            extend_left_crt(3, p2)
+        assert time.perf_counter() - started < 1.0
 
-    def test_exhaustion_names_a_huge_progression_by_size(self):
-        # the modulus for p2 = 10103 has over 4300 digits, past the
-        # int-string limit; the first progression value is even
-        with pytest.raises(BoundExhaustedError, match="k\\*an 14436-bit integer"):
-            extend_left_crt(3, 10103, max_steps=1)
+    def test_refusal_names_a_huge_p2_by_size(self):
+        # 10**5000 is past the int-string limit, and its refusal runs no
+        # primality test on it
+        with pytest.raises(ValueError, match="p2 below 2048, got an 16610-bit integer"):
+            extend_left_crt(3, 10**5000)
 
     def test_first_prime_matches_unsieved_scan(self):
         # every ordered pair of distinct odd primes below 100, among them
@@ -317,15 +319,15 @@ class TestExtendLeftCrt:
         assert extend_left_crt(3, p2) == (p0, system)
 
     @pytest.mark.parametrize("window", [None, 77, 64])
-    def test_max_steps_is_exact(self, monkeypatch, window):
-        # (83, 191) has progression index 231: past the first window when
-        # the window is patched to 77 (231 = 3*77 ends the third exactly)
-        # or to 64
+    def test_window_boundary_keeps_the_first_prime(self, monkeypatch, window):
+        # (83, 191) has progression index 231: in the first window unpatched,
+        # the first of the fourth when the window is patched to 77
+        # (231 = 3*77), and inside the fourth when patched to 64
+        expected = extend_left_crt(83, 191)
         if window is not None:
             monkeypatch.setattr(seqcore, "_DIRICHLET_WINDOW", window)
-        with pytest.raises(BoundExhaustedError, match="first 231 terms"):
-            extend_left_crt(83, 191, max_steps=231)
-        p0, system = extend_left_crt(83, 191, max_steps=232)
+        p0, system = extend_left_crt(83, 191)
+        assert (p0, system) == expected
         assert (p0 - system.solution) // system.combined_modulus == 231
         assert oracles.sopd_trial(p0 + 83) == 191
 
