@@ -20,10 +20,10 @@ minimal left extension in the package runs through `run_search`, one loop
 that finalizes a shard per pass: it scans the shard in-process for the
 search's first 0.1 s (a resumed checkpoint's time counts), and after that
 takes it from a process pool, so a short search never pays for one.
-A checkpoint records progress only, never an answer: it is written every 30 s
-of a search, and at once on suspension or interrupt.  A finished search
-removes the file it resumed from or wrote, so one that finishes sooner leaves
-no file, and one killed outright loses at most the last 30 s of its progress.
+A checkpoint records progress only, never an answer.  It is saved after a
+shard once 30 s have passed since the search's start or last save, and at once
+on suspension or interrupt, so a search killed outright loses at most 30 s
+plus the shard in flight; a finished search leaves no file (see run_search).
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ __all__ = [
 
 DEFAULT_SHARD_WIDTH = 1 << 16
 CHECKPOINT_FORMAT_VERSION = 3
-# Seconds from a search's start or last checkpoint write to its next
-# progress write: the most work a search killed outright can lose.
+# Seconds from a search's start or last checkpoint write to its next progress
+# write, made after the shard in flight: what a search killed outright loses.
 _CHECKPOINT_INTERVAL = 30.0
 # Seconds a search runs in-process before its shards go to a process pool.
 # Starting and draining a pool costs about 9 ms, so a search that settles
@@ -344,15 +344,15 @@ def run_search(
     deterministic stand-in for killing the process).
 
     With a `checkpoint_path`, whose directory must exist and be writable
-    before any shard is scanned, state is written only where the write
-    saves work.  Once 30 s have passed since the call started or since its
-    last write, the progress is written as soon as a shard has finished
-    since then, whether shards run in-process or in the pool.  A
-    suspension by `max_shards` and a KeyboardInterrupt write at once.  A hit
-    or an exhaustion writes nothing: it removes the file this call resumed
-    from or wrote, and touches no other.  So a run killed outright loses at
-    most the last 30 s of its search, and a finished search leaves no file.
-    Resuming with a checkpoint for a different task raises CheckpointError.
+    before any shard is scanned, state is saved by one rule: after a shard
+    is finalized, the progress is saved if `_CHECKPOINT_INTERVAL` (30 s)
+    has passed since the call started or since its last save.  So progress
+    is saved only between shards, and a run killed outright loses at most
+    those 30 s plus the shard in flight.  A `max_shards` suspension and a
+    KeyboardInterrupt save at once.  A hit or an exhaustion saves nothing:
+    it removes the file this call saved, or, given `resume_from`, the file
+    at the path, taken to be the one it resumed from.  Resuming with a
+    checkpoint for a different task raises CheckpointError.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {_show(workers)}")
@@ -379,7 +379,6 @@ def run_search(
     m_end = multiplier_limit(c, partner, task.bound) + 1
     started = time.monotonic()
     due = started + _CHECKPOINT_INTERVAL  # when the next progress write is due
-    written = m_next  # the progress last written; at the start none is new
     shards = 0  # shards finalized by this call
     prime = pool = None
 
@@ -392,12 +391,11 @@ def run_search(
         )
 
     def emit(checkpoint: Checkpoint) -> None:
-        nonlocal on_disk, due, written
+        nonlocal on_disk, due
         if checkpoint_path is not None:
             save_checkpoint(checkpoint, checkpoint_path)
             on_disk = True
         due = time.monotonic() + _CHECKPOINT_INTERVAL
-        written = checkpoint.next_multiplier
 
     try:
         while m_next < m_end and shards != max_shards:
@@ -408,7 +406,6 @@ def run_search(
             ):
                 # imported here: every command-line run would pay for it at import
                 from concurrent.futures import ProcessPoolExecutor
-                from concurrent.futures import TimeoutError as FutureTimeout
 
                 pool, pending = ProcessPoolExecutor(max_workers=workers), deque()
             if pool is None:
@@ -423,14 +420,7 @@ def run_search(
                     pending.append((hi, future))
                     lo = hi
                 hi, future = pending.popleft()
-                try:
-                    hit = future.result(timeout=max(due - time.monotonic(), 0.0))
-                except FutureTimeout:
-                    # due: write any progress since the last write; the next
-                    # progress is this shard's end, so wait for it
-                    if m_next != written:
-                        emit(snapshot(m_next))
-                    hit = future.result()
+                hit = future.result()
             shards += 1
             if hit is not None:
                 m_next, prime = (hit + partner) // c, hit

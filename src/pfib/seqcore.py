@@ -315,10 +315,10 @@ def generate_reversed(
     for 0.1 s, and checkpoint_path makes the run resumable.  A file found at
     checkpoint_path is read once, before the first step; the step whose task
     it holds resumes from it, the steps before that one run without a file,
-    and a file for no step of this run is left alone.  A finished step
-    removes the file it resumed from or wrote, and one that finishes within
-    the search's 30 s write interval writes none.  on_term, when given, is
-    called with (index, value) for every term as it becomes known.
+    and a file for no step of this run is left alone.  Each step saves and
+    removes the file by run_search's rule, so a kill loses at most 30 s plus
+    the shard in flight, and a finished step leaves no file.  on_term, when
+    given, is called with (index, value) for every term as it becomes known.
 
     Each term is tested once: Seed proved the two seed terms and each step's
     search proved the term it found, so a step's SearchTask is built from

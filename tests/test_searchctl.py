@@ -3,7 +3,11 @@ import os
 import random
 import re
 import shlex
+import signal
+import subprocess
+import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -37,13 +41,6 @@ def _readme() -> str:
         return handle.read()
 
 
-def slow_scan(*args):
-    """scan_multiplier_range after 0.3 s; at module level, so that pool
-    workers unpickle it by name."""
-    time.sleep(0.3)
-    return scan_multiplier_range(*args)
-
-
 def scan_interrupted_at_sixth(constraint, partner, lo, hi):
     """scan_multiplier_range that raises KeyboardInterrupt on the sixth shard
     of 64 multipliers from 2; at module level, so that pool workers unpickle
@@ -51,6 +48,33 @@ def scan_interrupted_at_sixth(constraint, partner, lo, hi):
     if lo == 2 + 64 * 5:
         raise KeyboardInterrupt
     return scan_multiplier_range(constraint, partner, lo, hi)
+
+
+# A search whose shards each take 0.3 s in a 2-worker pool from the start,
+# over a range it cannot finish; it exits 130 on KeyboardInterrupt.
+_POOLED_SEARCH = """\
+import sys
+import time
+
+from pfib import searchctl
+from pfib.searchctl import SearchTask, run_search, scan_multiplier_range
+
+
+def slow_scan(*args):
+    time.sleep(0.3)
+    return scan_multiplier_range(*args)
+
+
+if __name__ == "__main__":
+    searchctl._POOL_AFTER_S = 0
+    searchctl.scan_multiplier_range = slow_scan
+    print("searching", flush=True)
+    try:
+        task = SearchTask(4294967311, 7, 10**40)
+        run_search(task, workers=2, checkpoint_path=sys.argv[1])
+    except KeyboardInterrupt:
+        sys.exit(130)
+"""
 
 
 def brute_scan(constraint, partner, m_lo, m_hi):
@@ -807,45 +831,50 @@ class TestCheckpointWrites:
         assert run_search(self.TASK, checkpoint_path=str(path)).prime == 406507
         assert path.read_text() == "another search's state"
 
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     def test_progress_written_when_the_interval_passes(
-        self, tmp_path, search_clock, saves, monkeypatch
+        self, tmp_path, search_clock, saves, monkeypatch, workers
     ):
-        # every shard moves the clock a third of the interval on
+        # every shard moves the clock a third of the interval on: in-process
+        # while it is scanned, in a pool while the parent waits for it
+        step = searchctl._CHECKPOINT_INTERVAL / 3
+
         def slow_scan(*args):
-            search_clock[0] += searchctl._CHECKPOINT_INTERVAL / 3
+            search_clock[0] += step
             return scan_multiplier_range(*args)
 
-        monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
+        class WaitingPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                result = future.result
+
+                def slow_result():
+                    search_clock[0] += step
+                    return result()
+
+                future.result = slow_result
+                return future
+
+        if workers == 1:
+            monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
+        else:
+            monkeypatch.setattr(searchctl, "_POOL_AFTER_S", 0)
+            monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", WaitingPool)
         path = str(tmp_path / "cp.json")
-        result = run_search(self.TASK, checkpoint_path=path)
+        result = run_search(self.TASK, workers=workers, checkpoint_path=path)
         first = saves[0]
         assert first.next_multiplier == 2 + 64 * 3
         assert first.shards_done == 3
         assert first.wall_seconds == searchctl._CHECKPOINT_INTERVAL
-        # the clock restarts at each write; the hit removes the file
+        # each write follows a finalized shard and the clock restarts at it,
+        # on both paths alike; the hit removes the file
         assert [c.next_multiplier for c in saves] == [
             2 + 64 * k for k in (3, 6, 9, 12)
         ]
+        assert [c.shards_done for c in saves] == [3, 6, 9, 12]
         assert result.prime == 406507
-        assert not os.path.exists(path)
-
-    def test_pool_wait_writes_only_new_progress(
-        self, tmp_path, monkeypatch, search_clock, saves
-    ):
-        # the clock stands still, so every write comes from the pool's wait
-        # for a 0.3 s shard, which times out after 0.1 s
-        monkeypatch.setattr(searchctl, "_POOL_AFTER_S", 0)
-        monkeypatch.setattr(searchctl, "_CHECKPOINT_INTERVAL", 0.1)
-        monkeypatch.setattr(searchctl, "scan_multiplier_range", slow_scan)
-        task = SearchTask(406507, 67, 406507 * 385 - 67)  # 6 shards, no hit
-        path = str(tmp_path / "cp.json")
-        result = run_search(task, workers=2, checkpoint_path=path)
-        assert result.exhausted and result.checkpoint.shards_done == 6
-        written = [c.next_multiplier for c in saves]
-        # the wait writes the progress made meanwhile, and only new progress:
-        # never the start, never the same multiplier twice
-        assert written and written[0] > 2
-        assert written == sorted(set(written))
+        serial = run_search(self.TASK)
+        assert result.checkpoint.shards_done == serial.checkpoint.shards_done
         assert not os.path.exists(path)
 
     def test_interrupt_writes_the_state_so_far(self, tmp_path, search_clock, scans):
@@ -886,6 +915,37 @@ class TestCheckpointWrites:
         uninterrupted = run_search(self.TASK)
         assert resumed.prime == uninterrupted.prime == 406507
         assert resumed.checkpoint.shards_done == uninterrupted.checkpoint.shards_done
+
+    def test_sigint_ends_a_pool_wait(self, tmp_path):
+        # the parent waits for each future with no timeout; a SIGINT sent to
+        # the parent alone still ends that wait, saves the progress so far
+        # and re-raises, once the shards running in the workers have ended
+        script = tmp_path / "search.py"
+        script.write_text(_POOLED_SEARCH)
+        path = str(tmp_path / "cp.json")
+        package_dir = os.path.dirname(os.path.dirname(pfib.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, str(script), path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": package_dir},
+        )
+        try:
+            assert proc.stdout.readline() == "searching\n"
+            time.sleep(1)
+            proc.send_signal(signal.SIGINT)
+            sent = time.monotonic()
+            _, err = proc.communicate(timeout=10)
+            waited = time.monotonic() - sent
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert waited < 5
+        on_disk = load_checkpoint(path)
+        # the subprocess cuts shards of the default width, not this class's 64
+        assert on_disk.next_multiplier > 2
+        assert on_disk.next_multiplier == 2 + DEFAULT_SHARD_WIDTH * on_disk.shards_done
 
     def test_bad_directory_fails_before_any_scan(self, tmp_path, scans):
         path = str(tmp_path / "missing" / "cp.json")
