@@ -253,16 +253,18 @@ def sieve_primes(limit: int) -> list[int]:
     base = table_primes[: bisect_right(table_primes, math.isqrt(limit))]
     for lo in range(_TRIAL_CUTOFF, limit + 1, _SIEVE_WINDOW):
         # base primes are below 2**16 <= lo, so every n struck is composite
-        primes.extend(_unstruck(lo, min(_SIEVE_WINDOW, limit + 1 - lo), base))
+        width = min(_SIEVE_WINDOW, limit + 1 - lo)
+        primes.extend(_unstruck(lo, width, base, map((-lo).__mod__, base)))
     return primes
 
 
-def _unstruck(lo: int, width: int, primes):
-    """Yield, in order, the n in [lo, lo + width) that no prime in `primes`
-    divides; every prime in `primes` is below lo."""
+def _unstruck(lo: int, width: int, primes, starts):
+    """Yield, in order, the indices in [lo, lo + width) that no prime strikes:
+    each p in `primes` strikes lo + s, lo + s + p, ... for its s in `starts`,
+    which the caller chooses.  A struck index must stand for a composite, so
+    no sieving prime may equal a term in the window."""
     flags = bytearray(b"\x01") * width
-    for p in primes:
-        i0 = -lo % p
+    for p, i0 in zip(primes, starts):
         if i0 < width:
             flags[i0::p] = b"\x00" * ((width - i0 + p - 1) // p)
     find = flags.find

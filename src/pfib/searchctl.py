@@ -20,10 +20,8 @@ minimal left extension in the package runs through `run_search`, one loop
 that finalizes a shard per pass: it scans the shard in-process for the
 search's first 0.1 s (a resumed checkpoint's time counts), and after that
 takes it from a process pool, so a short search never pays for one.
-A checkpoint records progress only, never an answer.  It is saved after a
-shard once 30 s have passed since the search's start or last save, and at once
-on suspension or interrupt, so a search killed outright loses at most 30 s
-plus the shard in flight; a finished search leaves no file (see run_search).
+A checkpoint records progress only, never an answer; run_search states when
+a search saves it and when a finished search removes it.
 """
 
 from __future__ import annotations
@@ -251,7 +249,7 @@ def scan_multiplier_range(
     while lo < j_hi:
         width = min(j_hi - lo, lo - j_start + first_width)
         # the sieving primes are below the constraint <= j_start <= lo
-        for j in _unstruck(lo, width, primes):
+        for j in _unstruck(lo, width, primes, map((-lo).__mod__, primes)):
             u = odd_part(j)
             if u == 1 or u >= constraint:
                 r = two_c * j - partner
@@ -261,33 +259,45 @@ def scan_multiplier_range(
     return None
 
 
+def _document(checkpoint: Checkpoint) -> dict:
+    # the JSON document of a checkpoint file
+    doc = {"format_version": CHECKPOINT_FORMAT_VERSION, **checkpoint._asdict()}
+    return {**doc, "task": checkpoint.task._asdict()}
+
+
 def save_checkpoint(checkpoint: Checkpoint, path: str) -> None:
     """Atomically write a checkpoint (temp file + rename, same directory)."""
     checkpoint.validate()
-    doc = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        **checkpoint._asdict(),
-        "task": checkpoint.task._asdict(),
-    }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as handle:
-        json.dump(doc, handle)
+        json.dump(_document(checkpoint), handle)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    """Read and validate a checkpoint; refuse anything malformed."""
+def _read_json(path: str):
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         # ValueError covers JSONDecodeError, non-ASCII bytes and integers
         # longer than the interpreter's int-string limit; RecursionError,
         # arrays or objects nested past the interpreter's recursion limit
-        doc = json.loads(data.decode("ascii"))
+        return json.loads(data.decode("ascii"))
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: not valid checkpoint JSON ({exc})") from exc
+
+
+def _holds(path: str, doc: dict) -> bool:
+    # whether the file at path parses to doc; an unreadable one does not
+    with suppress(OSError, CheckpointError):
+        return _read_json(path) == doc
+    return False
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    """Read and validate a checkpoint; refuse anything malformed."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise CheckpointError(f"{path}: unexpected document fields")
     # the version first, so an older format is refused by name, not by its fields
@@ -349,10 +359,14 @@ def run_search(
     has passed since the call started or since its last save.  So progress
     is saved only between shards, and a run killed outright loses at most
     those 30 s plus the shard in flight.  A `max_shards` suspension and a
-    KeyboardInterrupt save at once.  A hit or an exhaustion saves nothing:
-    it removes the file this call saved, or, given `resume_from`, the file
-    at the path, taken to be the one it resumed from.  Resuming with a
-    checkpoint for a different task raises CheckpointError.
+    KeyboardInterrupt save at once; under a pool, the interrupted call then
+    returns only once the shards already handed to it finish, up to
+    `workers` + 2 (about two shard lengths with 2 workers): no public API
+    of `ProcessPoolExecutor` stops a running worker on Python 3.10-3.13.
+    A hit or an exhaustion saves nothing, and removes the file only if it
+    parses to this search's own state, the last checkpoint this call saved
+    or else `resume_from`; any other file, readable or not, is left alone.
+    Resuming with a checkpoint for a different task raises CheckpointError.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {_show(workers)}")
@@ -368,12 +382,10 @@ def run_search(
         start = resume_from
     if max_shards == 0:
         return SearchResult(start, None)
-    # a completion removes only a file this call resumed from or wrote, so
-    # a search that settles before its first due write touches none
-    on_disk = False
+    own = None  # the state a completion removes: resumed from, then last saved
     if checkpoint_path is not None:
         _check_writable_directory(checkpoint_path)
-        on_disk = resume_from is not None and os.path.exists(checkpoint_path)
+        own = None if resume_from is None else _document(resume_from)
     c, partner = task.constraint_prime, task.partner
     m_next = max(start.next_multiplier, _even_ceil(_least_multiplier(c, partner)))
     m_end = multiplier_limit(c, partner, task.bound) + 1
@@ -391,10 +403,10 @@ def run_search(
         )
 
     def emit(checkpoint: Checkpoint) -> None:
-        nonlocal on_disk, due
+        nonlocal own, due
         if checkpoint_path is not None:
             save_checkpoint(checkpoint, checkpoint_path)
-            on_disk = True
+            own = _document(checkpoint)
         due = time.monotonic() + _CHECKPOINT_INTERVAL
 
     try:
@@ -432,7 +444,7 @@ def run_search(
         if not result.completed:
             # stopping short always writes: the file is what a resume needs
             emit(result.checkpoint)
-        elif on_disk:
+        elif own is not None and _holds(checkpoint_path, own):
             with suppress(FileNotFoundError):  # removed by hand meanwhile
                 os.remove(checkpoint_path)
         return result

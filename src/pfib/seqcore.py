@@ -16,7 +16,6 @@ or within a sequence, is one searchctl.run_search call.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from bisect import bisect_right
@@ -28,6 +27,7 @@ from .arith import (
     CrtSystem,
     _show,
     _trial_tables,
+    _unstruck,
     crt_solve,
     ensure_odd_prime,
     is_prime,
@@ -220,14 +220,14 @@ def extend_left_crt(p1: int, p2: int) -> tuple[int, CrtSystem]:
     above 2**11 is refused before any work, its primality test included.
 
     Every term is coprime to the primes up to p2, so before any primality
-    test the index k is sieved in fixed-width windows: Q is odd, so every
-    other term is even, and an odd prime p with p2 < p < L divides
-    a + kQ exactly when k = -a/Q (mod p).  The limit L grows with the bit
-    length of a, from 2**8 to 2**16 at 768 bits, so small terms do not pay
-    for roots that save no tests.  Two rules keep the scan exact and small.
-    A term at or below 2**16 may itself be a sieving prime, so it is tested,
-    never sieved.  Each root is computed as the loop reaches its prime, and
-    no per-prime list is kept.
+    test the index k is sieved in fixed-width windows by arith._unstruck:
+    a prime p, 2 or p2 < p < L, divides a + kQ exactly when k = -a/Q
+    (mod p); Q is odd, so 2 strikes the even terms like any other.  L grows
+    with the bit length of a, from 2**8 to 2**16 at 768 bits, so small
+    terms do not pay for roots that save no tests.  A term at or below
+    2**16 may itself be a sieving prime, so it is tested, never sieved.
+    Each root is computed as the sieve reaches its prime, from a and Q
+    reduced by it alone, and no per-prime list is kept.
     """
     ensure_odd_prime(p1)
     if isinstance(p2, int) and p2 >= _CRT_P2_LIMIT:
@@ -245,7 +245,7 @@ def extend_left_crt(p1: int, p2: int) -> tuple[int, CrtSystem]:
     system = crt_solve(congruences)
     a, modulus = system.solution, system.combined_modulus
     for value in _progression_candidates(a, modulus, p2):
-        if value >= 3 and value % 2 == 1 and is_prime(value):
+        if value >= 3 and is_prime(value):
             return value, system
 
 
@@ -258,32 +258,18 @@ def _dirichlet_sieve_limit(a: int) -> int:
 
 def _progression_candidates(a: int, modulus: int, p2: int):
     # The terms a + k*modulus in order, without end, less those above 2**16
-    # that the sieve proves composite: the even ones, and those with a prime
-    # factor p, p2 < p < L.  The modulus is odd, a product of primes <= p2.
+    # with a prime factor p that is 2 or p2 < p < L (see extend_left_crt).
     k = 0
     while a + k * modulus <= _TRIAL_CUTOFF:
         yield a + k * modulus
         k += 1
     primes = sieve_primes(_dirichlet_sieve_limit(a))
-    first = bisect_right(primes, p2)
+    primes = [2, *primes[bisect_right(primes, p2) :]]
     while True:
-        width = _DIRICHLET_WINDOW
-        flags = bytearray(b"\x01") * width
-        even = (a + k) % 2  # a + (k + i)*modulus is even iff i = a + k (mod 2)
-        flags[even::2] = bytes(len(range(even, width, 2)))
-        # p strikes i with k + i = -a/modulus (mod p); a and the modulus are
-        # reduced once per twelve primes, by their product, then by each prime
-        for lo in range(first, len(primes), 12):
-            block = primes[lo : lo + 12]
-            product = math.prod(block)
-            a_rem, q_rem = a % product, modulus % product
-            for p in block:
-                start = (-(a_rem % p) * pow(q_rem % p, -1, p) - k) % p
-                if start < width:
-                    flags[start::p] = bytes(len(range(start, width, p)))
-        for i in itertools.compress(range(width), flags):
-            yield a + (k + i) * modulus
-        k += width
+        roots = ((-(a % p) * pow(modulus % p, -1, p) - k) % p for p in primes)
+        for i in _unstruck(k, _DIRICHLET_WINDOW, primes, roots):
+            yield a + i * modulus
+        k += _DIRICHLET_WINDOW
 
 
 def extend_left_minimal(p1: int, p2: int, bound: int) -> int | None:
@@ -313,12 +299,11 @@ def generate_reversed(
     Every step runs through searchctl's sharded scan: the result is the same
     for any worker count, a step starts a process pool only once it has run
     for 0.1 s, and checkpoint_path makes the run resumable.  A file found at
-    checkpoint_path is read once, before the first step; the step whose task
-    it holds resumes from it, the steps before that one run without a file,
-    and a file for no step of this run is left alone.  Each step saves and
-    removes the file by run_search's rule, so a kill loses at most 30 s plus
-    the shard in flight, and a finished step leaves no file.  on_term, when
-    given, is called with (index, value) for every term as it becomes known.
+    checkpoint_path is parsed once, before the first step; the step whose
+    task it holds resumes from it, the steps before that one run without a
+    file, and a file for no step of this run is left alone.  Each step saves
+    and removes the file by run_search's rule.  on_term, when given, is
+    called with (index, value) for every term as it becomes known.
 
     Each term is tested once: Seed proved the two seed terms and each step's
     search proved the term it found, so a step's SearchTask is built from

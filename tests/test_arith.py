@@ -135,6 +135,15 @@ class TestStrongLucas:
         self.check(p0s)
         assert all(arith._strong_lucas(p0) for p0 in p0s)
 
+    def test_jacobi_symbol_zero_refuses(self):
+        # n = 67*q, q prime and q = 67 (mod 4 * the product of the primes up
+        # to 61): (D/n) is 1 for the first 31 D of 5, -7, 9, ..., then D = -67
+        # shares the factor 67, so the symbol is 0 and n is refused
+        n = 62866572408642136447037209
+        assert n % 67 == 0 and oracles.mr_is_prime(n // 67)
+        assert arith._strong_lucas(n) is False
+        assert is_prime(n) is False
+
 
 class TestEnsureOddPrime:
     def test_passes_through(self):
@@ -341,6 +350,34 @@ class TestSievePrimes:
             sieve_primes(1 << 33)
         with pytest.raises(ValueError, match="ceiling"):
             sieve_primes(1 << 32)
+
+
+class TestUnstruck:
+    """The window sieve against a naive strike: the i-th prime strikes the
+    offsets starts[i], starts[i] + p, ... below the width."""
+
+    @staticmethod
+    def naive(lo, width, primes, starts):
+        struck = set()
+        for p, start in zip(primes, starts):
+            struck.update(range(start, width, p))
+        return [lo + i for i in range(width) if i not in struck]
+
+    def test_matches_a_naive_strike(self):
+        rng = random.Random(32)
+        pool = oracles.simple_primes(300)
+        seen = {"two": 0, "start_past_width": 0, "prime_past_width": 0}
+        for _ in range(400):
+            lo = rng.choice([0, rng.randrange(1 << 20), rng.getrandbits(80)])
+            width = rng.randrange(1, 160)
+            primes = rng.sample(pool, rng.randrange(0, 10))
+            starts = [rng.randrange(p) for p in primes]
+            got = list(arith._unstruck(lo, width, primes, iter(starts)))
+            assert got == self.naive(lo, width, primes, starts)
+            seen["two"] += 2 in primes
+            seen["start_past_width"] += any(s >= width for s in starts)
+            seen["prime_past_width"] += any(p > width for p in primes)
+        assert min(seen.values()) > 0, seen
 
 
 class TestCrtSolve:

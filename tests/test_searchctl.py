@@ -374,6 +374,18 @@ class TestCheckpointIO:
         # a finished search leaves no file, so the example is one in progress
         assert not SearchResult(checkpoint, None).completed
 
+    def test_completion_removes_the_readme_example(self, tmp_path):
+        # a search resumed from the example's state finds it in the file: the
+        # file is compared as parsed JSON, not byte for byte, with
+        # save_checkpoint's output
+        (example,) = re.findall(r"```json\n(.*?)```", _readme(), re.S)
+        path = tmp_path / "cp.json"
+        path.write_text(example)
+        state = load_checkpoint(str(path))
+        result = run_search(state.task, resume_from=state, checkpoint_path=str(path))
+        assert result.prime == 330515394367
+        assert not path.exists()
+
 
 def test_readme_cli_examples(run_cli, monkeypatch):
     # every `$ pfib ...` line in the README's sh blocks prints exactly the
@@ -830,6 +842,24 @@ class TestCheckpointWrites:
         path.write_text("another search's state")
         assert run_search(self.TASK, checkpoint_path=str(path)).prime == 406507
         assert path.read_text() == "another search's state"
+
+    def test_resume_from_memory_leaves_a_file_that_is_not_its_state(
+        self, tmp_path
+    ):
+        # resumed from a checkpoint in memory, the search finds at the path
+        # a file it neither saved nor resumed from: not JSON, or the
+        # checkpoint of other progress
+        path = tmp_path / "cp.json"
+        suspended = run_search(self.TASK, max_shards=1)
+        other = Checkpoint(self.TASK, 2 + 64 * 5, 5, 1.0)
+        save_checkpoint(other, str(path))
+        for text in ["another search's state", path.read_text()]:
+            path.write_text(text)
+            resumed = run_search(
+                self.TASK, resume_from=suspended.checkpoint, checkpoint_path=str(path)
+            )
+            assert resumed.prime == 406507
+            assert path.read_text() == text
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
     def test_progress_written_when_the_interval_passes(
