@@ -6,17 +6,18 @@ exhaustion, 4 verification mismatch, 130 interrupted, 141 stdout closed
 (nothing more is printed; 128 + SIGPIPE, as a shell reports that kill).
 
 Each `cmd_*` writes nothing: it validates by raising and returns
-`(exit_code, inputs, result, plain_text)`.  `main` owns stdout.  It times
-the call, maps errors to an `error: ...` line on stderr (ValueError,
-CheckpointError and OSError exit 2, a green-tao search that finds no
-progression exits 3) and prints either `plain_text` or, under `--format
-records`, one JSON record `{"command", "inputs", "result", "timing"}` with
-every potentially large integer as a decimal string.  `forward` and
-`reversed` stream each term through the `args.on_term` that `main` builds:
-in plain format as words on one line, which `main` ends on every exit, on a
-result with the command's plain text as its tail, so the terms found before
-an error stay on stdout; under `--format records`, `reversed` writes one
-`"event": "term"` record per term and `forward` only its one final record.
+`(exit_code, inputs, result, plain_text)`, for an exhausted search or a
+mismatch too.  `main` owns stdout.  It times the call, maps only errors to
+stderr (ValueError, CheckpointError and OSError to an `error: ...` line and
+exit 2, an interrupt to exit 130) and prints either `plain_text` or, under
+`--format records`, one JSON record `{"command", "inputs", "result",
+"timing"}` with every potentially large integer as a decimal string.
+`forward` and `reversed` stream each term through the `args.on_term` that
+`main` builds: in plain format as words on one line, which `main` ends on
+every exit, on a result with the command's plain text as its tail, so the
+terms found before an error stay on stdout; under `--format records`,
+`reversed` writes one `"event": "term"` record per term and `forward` only
+its one final record.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ EXIT_CLOSED = 141  # 128 + SIGPIPE
 
 # what every cmd_* returns: (exit_code, inputs, result, plain_text)
 _Outcome = tuple[int, dict, dict, str]
-
-
-class _SearchLimitExhausted(Exception):
-    """green-tao found no progression within --search-limit: exit 3."""
 
 
 def _resolve_workers(cli_value: int | None) -> int:
@@ -157,22 +154,23 @@ def cmd_green_tao(args) -> _Outcome:
         raise ValueError(f"--k must be at least 3, got {args.k}")
     if args.search_limit < 1:
         raise ValueError(f"--search-limit must be positive, got {args.search_limit}")
-    needed = (1 << (args.k - 2)) + 1
+    limit, needed = args.search_limit, (1 << (args.k - 2)) + 1
+    inputs = {"k": str(args.k), "ap": args.ap, "search_limit": str(limit)}
     if args.ap is not None:
         fields = args.ap.split(",")
         if len(fields) != 3:
             raise ValueError(f"--ap takes first,difference,length, got {args.ap!r}")
         ap = PrimeAp(*(int(f) for f in fields))
     else:
-        ap = seqcore.find_prime_ap(needed, args.search_limit)
+        ap = seqcore.find_prime_ap(needed, limit)
         if ap is None:
-            raise _SearchLimitExhausted(
-                f"no prime progression of length {needed} with first term "
-                f"<= {args.search_limit}"
-            )
+            result = {"ap": None, "status": "search_limit_exhausted",
+                      "search_limit": str(limit)}
+            text = (f"no prime progression of length {needed} with first term "
+                    f"and difference <= {limit}")
+            return EXIT_EXHAUSTED, inputs, result, text
     seq = seqcore.green_tao_sequence(args.k, ap)
     indices = seqcore.index_recurrence(args.k)
-    inputs = {"k": str(args.k), "ap": args.ap, "search_limit": str(args.search_limit)}
     result = {
         "ap": {
             "first": str(ap.first),
@@ -278,7 +276,8 @@ _COMMANDS = {
     "green-tao": (cmd_green_tao, "build a length-k sequence from a prime AP", (), [
         ("--k", int, None, _REQUIRED, "least sequence length, at least 3"),
         ("--ap", str, None, None, "FIRST,DIFF,LEN of a prime AP (default: search)"),
-        ("--search-limit", int, None, 1000, "largest first term of a searched AP")]),
+        ("--search-limit", int, None, 1000,
+         "largest first term and difference of a searched AP")]),
     "verify-bfile": (cmd_verify_bfile, "check a b-file against the generator",
                      ("p", "q", "path"), []),
 }
@@ -409,8 +408,6 @@ def main(argv=None) -> int:
             raise  # stdout's reader is gone: no usage error, see below
         except (ValueError, CheckpointError, OSError) as exc:
             code, error = EXIT_USAGE, f"error: {exc}"
-        except _SearchLimitExhausted as exc:
-            code, error = EXIT_EXHAUSTED, f"error: {exc}"
         except KeyboardInterrupt:
             code = EXIT_INTERRUPTED
             error = "interrupted; checkpoint written if one was requested"
@@ -430,7 +427,3 @@ def main(argv=None) -> int:
         # interpreter's final flush from failing again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

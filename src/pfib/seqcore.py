@@ -299,11 +299,12 @@ def generate_reversed(
     Every step runs through searchctl's sharded scan: the result is the same
     for any worker count, a step starts a process pool only once it has run
     for 0.1 s, and checkpoint_path makes the run resumable.  A file found at
-    checkpoint_path is parsed once, before the first step; the step whose
-    task it holds resumes from it, the steps before that one run without a
-    file, and a file for no step of this run is left alone.  Each step saves
-    and removes the file by run_search's rule.  on_term, when given, is
-    called with (index, value) for every term as it becomes known.
+    checkpoint_path is parsed once, before the first step, and refused with
+    CheckpointError if it holds another bound; the step whose task it holds
+    resumes from it, the steps before that one run without a file, and a
+    file for no step of this run is left alone, so the run saves none.  Each
+    step saves and removes the file by run_search's rule.  on_term, when
+    given, is called with (index, value) for every term as it becomes known.
 
     Each term is tested once: Seed proved the two seed terms and each step's
     search proved the term it found, so a step's SearchTask is built from
@@ -325,6 +326,11 @@ def generate_reversed(
     if num_terms > 2 and checkpoint_path is not None:
         if os.path.exists(checkpoint_path):
             stored = searchctl.load_checkpoint(checkpoint_path)
+            if stored.task.bound != per_step_bound:
+                raise searchctl.CheckpointError(
+                    f"{checkpoint_path}: checkpoint bound {_show(stored.task.bound)}"
+                    f" is not the run's bound {_show(per_step_bound)}"
+                )
     while len(terms) < num_terms:
         task = SearchTask._make((terms[-2], terms[-1], per_step_bound))
         resume, step_path = None, checkpoint_path

@@ -292,6 +292,23 @@ class TestReversedCommand:
         assert code == 2 and err.startswith("error:")
         assert str(path) in err and "not valid checkpoint JSON" in err
 
+    def test_checkpoint_at_another_bound_is_refused(self, run_cli, tmp_path):
+        # step 16's file at 10**12 is no state of a run at 2_000_000_000
+        path = tmp_path / "state.json"
+        task = SearchTask(406507, 67, 10**12)
+        save_checkpoint(Checkpoint(task, 393218, 6, 0.0001), str(path))
+        before = path.read_bytes()
+        code, out, err = run_cli(
+            "reversed", "3", "5", "--terms", "16", "--bound", "2_000_000_000",
+            "--checkpoint", str(path),
+        )
+        assert code == 2 and out == "3 5\n"
+        assert err == (
+            f"error: {path}: checkpoint bound 1000000000000 is not the run's"
+            " bound 2000000000\n"
+        )
+        assert path.read_bytes() == before
+
     def test_checkpoint_in_missing_directory(self, run_cli, tmp_path):
         path = tmp_path / "missing" / "state.json"
         code, _, err = run_cli(
@@ -408,15 +425,45 @@ class TestGreenTaoCommand:
         assert record["result"]["length"] == 8
 
     def test_search_limit_exhaustion(self, run_cli):
+        # an exhausted search is a result, on stdout, as for extend-left
         code, out, err = run_cli("green-tao", "--k", "5", "--search-limit", "100")
-        assert code == 3
-        assert out == ""
-        assert "length 9" in err
+        assert (code, err) == (3, "")
+        assert out == (
+            "no prime progression of length 9 with first term and difference"
+            " <= 100\n"
+        )
 
     def test_search_limit_one_is_genuine_exhaustion(self, run_cli):
         code, out, err = run_cli("green-tao", "--k", "3", "--search-limit", "1")
-        assert (code, out) == (3, "")
-        assert err == "error: no prime progression of length 3 with first term <= 1\n"
+        assert (code, err) == (3, "")
+        assert out == (
+            "no prime progression of length 3 with first term and difference"
+            " <= 1\n"
+        )
+
+    def test_search_limit_bounds_the_difference_too(self, run_cli):
+        # 5, 11, 17, 23, 29 has first term 5 but difference 6
+        code, out, err = run_cli("green-tao", "--k", "4", "--search-limit", "5")
+        assert (code, err) == (3, "")
+        assert out == (
+            "no prime progression of length 5 with first term and difference"
+            " <= 5\n"
+        )
+        code, out, err = run_cli("green-tao", "--k", "4", "--search-limit", "6")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "ap: first=5 difference=6 length=5"
+
+    def test_records_search_limit_exhaustion(self, run_cli):
+        code, out, err = run_cli(
+            "green-tao", "--k", "5", "--search-limit", "100", "--format", "records"
+        )
+        assert (code, err) == (3, "")
+        (record,) = records(out)
+        assert record["command"] == "green-tao"
+        assert record["inputs"] == {"k": "5", "ap": None, "search_limit": "100"}
+        assert record["result"] == {
+            "ap": None, "status": "search_limit_exhausted", "search_limit": "100",
+        }
 
     @pytest.mark.parametrize("argv,fragment", [
         (("green-tao", "--k", "2"), "--k"),

@@ -395,7 +395,7 @@ def test_readme_cli_examples(run_cli, monkeypatch):
         for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
             command, *lines = chunk.splitlines()
             examples.append((shlex.split(command), lines))
-    assert len(examples) == 10
+    assert len(examples) == 11
     monkeypatch.chdir(REPO)
     for (program, *argv), lines in examples:
         assert program == "pfib"

@@ -521,6 +521,29 @@ class TestGenerateReversedCheckpoints:
         with open(path, "rb") as handle:
             assert handle.read() == before
 
+    def test_checkpoint_at_another_bound_refused(self, tmp_path, saves):
+        # a step-16 file at 10**12 is refused once the seeds have streamed,
+        # before any step runs, and stays byte for byte as it was
+        path = str(tmp_path / "state.json")
+        task = searchctl.SearchTask(406507, 67, 10**12)
+        searchctl.save_checkpoint(searchctl.Checkpoint(task, 393218, 6, 0.0001), path)
+        saves.clear()
+        with open(path, "rb") as handle:
+            before = handle.read()
+        streamed = []
+        with pytest.raises(searchctl.CheckpointError) as refused:
+            generate_reversed(
+                Seed(3, 5), 16, self.BOUND, checkpoint_path=path,
+                on_term=lambda index, value: streamed.append(value),
+            )
+        assert str(refused.value) == (
+            f"{path}: checkpoint bound 1000000000000 is not the run's bound"
+            " 2000000000"
+        )
+        assert streamed == [3, 5] and saves == []
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
     def test_steps_finished_before_the_interval_write_nothing(
         self, tmp_path, search_clock, saves
     ):
